@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bundled
-from .dynamics import SimOptions, finite_time_bound, simulate_fixed
+from .dynamics import FixedSummary, RunSummary, SimOptions, finite_time_bound, simulate_fixed
 from .graph import (
     NoSpanningTreeError,
     WeightedDigraph,
@@ -48,6 +48,7 @@ from .switching import (
     estimate_expected_eta,
     process_for_blinking,
     process_for_graph,
+    sample_schedule,
     simulate_switching,
     write_interval_reports_csv,
 )
@@ -231,6 +232,16 @@ def _summary_skeleton(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _result(s: RunSummary) -> dict:
+    """The ``result`` block: the fields every run reports, plus a fixed run's consensus value."""
+    names = [f.name for f in dataclasses.fields(RunSummary)]
+    if isinstance(s, FixedSummary):
+        names += ["consensus_value", "wra_predicted"]
+    result = {name: getattr(s, name) for name in names}
+    result["options"] = dataclasses.asdict(s.options)
+    return result
+
+
 def _write_summary(out: Path, summary: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -292,17 +303,7 @@ def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         part = root_partition(graph)
         if part is not None and not part.s2:
             summary["finite_time_bound"] = finite_time_bound(graph, g, x0)
-        s = result.summary
-        summary["result"] = {
-            "consensus_reached": s.consensus_reached,
-            "consensus_value": s.consensus_value,
-            "wra_predicted": s.wra_predicted,
-            "time_to_tol": s.time_to_tol,
-            "final_disagreement": s.final_disagreement,
-            "steps": s.steps,
-            "fallback_steps": s.fallback_steps,
-            "options": dataclasses.asdict(s.options),
-        }
+        summary["result"] = _result(result.summary)
         summary["x0"] = [float(v) for v in x0]
         result.trajectory.to_csv(out / "trajectory.csv")
         write_edge_list(graph, out / "graph.edges")
@@ -330,14 +331,7 @@ def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     s = result.summary
-    summary["result"] = {
-        "consensus_reached": s.consensus_reached,
-        "time_to_tol": s.time_to_tol,
-        "final_disagreement": s.final_disagreement,
-        "steps": s.steps,
-        "fallback_steps": s.fallback_steps,
-        "options": dataclasses.asdict(s.options),
-    }
+    summary["result"] = _result(s)
     summary["switching"] = {
         "n_intervals": s.n_intervals,
         "epsilon": s.epsilon,
@@ -357,7 +351,6 @@ def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     if cfg.graph_dump_stride > 0:
         gdir = out / "graphs"
         gdir.mkdir(exist_ok=True)
-        from .switching import sample_schedule
         for interval in sample_schedule(proc, opts.t_max, _derived_seed(cfg.seed, 1)):
             if interval.k % cfg.graph_dump_stride == 0:
                 write_edge_list(interval.graph, gdir / f"interval_{interval.k:06d}.edges")

@@ -11,13 +11,18 @@ The integrator is explicit Euler with two discontinuity-aware ingredients:
 
 Both the selection vector and the sliding set are recorded per sample so the
 produced trajectories can be checked against the set-valued semantics.
+
+``integrate`` is the one integration loop. It steps through segments of
+constant Laplacian: a switching schedule is a sequence of them, a fixed
+topology a single one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -145,14 +150,19 @@ class _Stepper:
         self.bxs = g.breakpoint_xs
         self.blo = g.breakpoint_left
         self.bhi = g.breakpoint_right
-        self.has_bps = len(self.bxs) > 0
-        self.single_bp = float(self.bxs[0]) if len(self.bxs) == 1 else None
+        # Band k is [b_k - band, b_k + band]; searchsorted(edges, x, side="right")
+        # is odd exactly when x lies in a band, and counts the bands below it.
+        edges = [e for b in self.bxs.tolist()
+                 for e in (b - opts.band, math.nextafter(b + opts.band, math.inf))]
+        if edges != sorted(edges):
+            raise ValueError("jump bands overlap: breakpoints must be more than 2*band apart")
+        self.edges = np.array(edges)
 
     def selection(self, x: np.ndarray):
         """Selection vector, sliding mask, nearest-jump indices, fallback flag."""
         n = len(x)
         sliding = np.zeros(n, dtype=bool)
-        if not self.has_bps:
+        if not len(self.bxs):
             return self.g.values(x), sliding, None, False
         j = np.searchsorted(self.bxs, x)
         dist_lo = np.where(j > 0, x - self.bxs[np.maximum(j - 1, 0)], np.inf)
@@ -189,64 +199,37 @@ class _Stepper:
         dt = min(self.opts.dt, dt_cap)
         if dt <= 0:
             raise ValueError("step size collapsed to zero")
-        if self.single_bp is not None:
-            fast = self._advance_single_bp(x, t, dt)
-            if fast is not None:
-                return fast
-        gamma, sliding, nearest, fallback = self.selection(x)
-        v = -(self.lap @ gamma)
-        if sliding.any():
+        k = self.edges.searchsorted(x, side="right")
+        in_band = k & 1
+        if np.count_nonzero(in_band):
+            gamma, sliding, nearest, fallback = self.selection(x)
+            v = -(self.lap @ gamma)
             v[sliding] = 0.0
-        if self.has_bps:
-            dt = self._cap_at_bands(x, v, sliding, dt)
-        x_new = x + dt * v
-        if sliding.any():
+            x_new, dt = self._capped_step(x, v, k, in_band, dt)
             x_new[sliding] = self.bxs[nearest[sliding]]
+        else:
+            gamma = self.g.values(x)
+            v = -(self.lap @ gamma)
+            x_new, dt = self._capped_step(x, v, k, in_band, dt)
+            sliding = np.zeros(len(x), dtype=bool)
+            fallback = False
         if not np.isfinite(x_new).all():
             raise IntegrationError(f"state overflow at t={t}")
         return x_new, t + dt, gamma, sliding, dt, fallback
 
-    def _advance_single_bp(self, x: np.ndarray, t: float, dt: float):
-        """Fast path: one jump abscissa and no component inside its band."""
-        d = self.single_bp
-        band = self.opts.band
-        below = x < d - band
-        above = x > d + band
-        if not (below | above).all():
-            return None  # someone is banded: take the sliding path
-        gamma = self.g.values(x)
-        v = -(self.lap @ gamma)
-        e = x + dt * v
-        crossed = (below & (e > d + band)) | (above & (e < d - band))
-        if crossed.any():
-            dt = min(dt, float(((d - x[crossed]) / v[crossed]).min()))
-            e = x + dt * v
-        if not np.isfinite(e).all():
-            raise IntegrationError(f"state overflow at t={t}")
-        return e, t + dt, gamma, np.zeros(len(x), dtype=bool), dt, False
+    def _capped_step(self, x, v, k, in_band, dt):
+        """Euler step, shortened so that no component passes a whole band it is not in.
 
-    def _cap_at_bands(self, x, v, sliding, dt):
-        """Shorten dt so nothing jumps across a band; the capped component lands on the abscissa."""
-        band = self.opts.band
-        up = np.flatnonzero((v > 0) & ~sliding)
-        if up.size:
-            idx = np.searchsorted(self.bxs, x[up] + band, side="right")
-            ok = idx < len(self.bxs)
-            if ok.any():
-                i, d = up[ok], self.bxs[idx[ok]]
-                over = x[i] + dt * v[i] > d + band
-                if over.any():
-                    dt = min(dt, float(((d[over] - x[i][over]) / v[i][over]).min()))
-        down = np.flatnonzero((v < 0) & ~sliding)
-        if down.size:
-            idx = np.searchsorted(self.bxs, x[down] - band, side="left") - 1
-            ok = idx >= 0
-            if ok.any():
-                i, d = down[ok], self.bxs[idx[ok]]
-                over = x[i] + dt * v[i] < d - band
-                if over.any():
-                    dt = min(dt, float(((d[over] - x[i][over]) / v[i][over]).min()))
-        return dt
+        The first component to reach such a band lands on its abscissa.
+        """
+        x_new = x + dt * v
+        crossed = np.abs(self.edges.searchsorted(x_new, side="right") - k) > 1 + in_band
+        if np.count_nonzero(crossed):
+            kc = k[crossed]
+            b = self.bxs[np.where(v[crossed] > 0, (kc + 1) // 2, kc // 2 - 1)]
+            dt = min(dt, float(((b - x[crossed]) / v[crossed]).min()))
+            x_new = x + dt * v
+        return x_new, dt
 
 
 @dataclass(frozen=True)
@@ -275,15 +258,72 @@ def step(state: State, lap: np.ndarray, g: ClassAFunction, opts: SimOptions,
 
 
 @dataclass
-class FixedSummary:
+class RunSummary:
+    """Outcome fields shared by fixed and switching runs."""
+
     consensus_reached: bool
-    consensus_value: float | None
     time_to_tol: float | None
-    wra_predicted: float | None
     final_disagreement: float
     steps: int
     fallback_steps: int
     options: SimOptions
+
+
+def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x0: np.ndarray,
+              opts: SimOptions, record_stride: int = 1, stop_at_consensus: bool = True
+              ) -> tuple[Trajectory, list[tuple[float, float, float]], RunSummary]:
+    """Integrate from t = 0 through consecutive ``(laplacian, t_end)`` segments.
+
+    Each Laplacian holds from the previous segment's end to its own ``t_end``;
+    a fixed topology is the single segment ``(L, t_max)``. Returns the
+    trajectory, ``(v_start, v_end, t reached)`` for every segment taken, and
+    the summary. Segments are taken one at a time and none after the run
+    stops at consensus. ``g`` must already be validated.
+    """
+    x = np.asarray(x0, dtype=float)
+    rec = _Recorder(record_stride)
+    taken: list[tuple[float, float, float]] = []
+    t = 0.0
+    steps = fallback_steps = 0
+    time_to_tol: float | None = None
+    tiny = 1e-12 * max(1.0, opts.t_max)
+    for lap, t_end in segments:
+        stepper = _Stepper(lap, g, opts)
+        v_start = float(x.max() - x.min())
+        while True:
+            if t >= t_end - tiny:
+                t = t_end
+            if time_to_tol is None and x.max() - x.min() < opts.consensus_tol:
+                time_to_tol = t
+            if t == t_end or (stop_at_consensus and time_to_tol is not None):
+                break
+            x_new, t_new, gamma, sliding, _, fb = stepper.advance(x, t, t_end - t)
+            rec.maybe_add(t, x, gamma, sliding)
+            x, t = x_new, t_new
+            steps += 1
+            fallback_steps += fb
+        taken.append((v_start, float(x.max() - x.min()), t))
+        if stop_at_consensus and time_to_tol is not None:
+            break
+    gamma, sliding, _, _ = stepper.selection(x)
+    rec.add(t, x, gamma, sliding)
+
+    meta = {"dt": opts.dt, "band": opts.band, "t_max": opts.t_max, "record_stride": record_stride}
+    summary = RunSummary(
+        consensus_reached=time_to_tol is not None,
+        time_to_tol=time_to_tol,
+        final_disagreement=float(x.max() - x.min()),
+        steps=steps,
+        fallback_steps=fallback_steps,
+        options=opts,
+    )
+    return rec.build(meta), taken, summary
+
+
+@dataclass
+class FixedSummary(RunSummary):
+    consensus_value: float | None
+    wra_predicted: float | None
 
 
 @dataclass
@@ -311,40 +351,14 @@ def simulate_fixed(graph: WeightedDigraph, g: ClassAFunction, x0: np.ndarray,
     except NoSpanningTreeError:
         wra_predicted = None
 
-    stepper = _Stepper(laplacian(graph), g, opts)
-    rec = _Recorder(record_stride)
-    t = 0.0
-    steps = fallback_steps = 0
-    time_to_tol: float | None = None
-    eps = 1e-12 * max(1.0, opts.t_max)
-    while True:
-        if time_to_tol is None and x.max() - x.min() < opts.consensus_tol:
-            time_to_tol = t
-            if stop_at_consensus:
-                break
-        if t >= opts.t_max - eps:
-            break
-        x_new, t_new, gamma, sliding, _, fb = stepper.advance(x, t, opts.t_max - t)
-        rec.maybe_add(t, x, gamma, sliding)
-        x, t = x_new, t_new
-        steps += 1
-        fallback_steps += fb
-    gamma, sliding, _, _ = stepper.selection(x)
-    rec.add(t, x, gamma, sliding)
-
-    reached = time_to_tol is not None
-    meta = {"dt": opts.dt, "band": opts.band, "t_max": opts.t_max, "record_stride": record_stride}
+    traj, _, s = integrate([(laplacian(graph), opts.t_max)], g, x, opts, record_stride,
+                           stop_at_consensus)
     return FixedRunResult(
-        trajectory=rec.build(meta),
+        trajectory=traj,
         summary=FixedSummary(
-            consensus_reached=reached,
-            consensus_value=float(x.mean()) if reached else None,
-            time_to_tol=time_to_tol,
+            **vars(s),
+            consensus_value=float(traj.x[-1].mean()) if s.consensus_reached else None,
             wra_predicted=wra_predicted,
-            final_disagreement=float(x.max() - x.min()),
-            steps=steps,
-            fallback_steps=fallback_steps,
-            options=opts,
         ),
     )
 
@@ -391,8 +405,3 @@ def finite_time_bound(graph: WeightedDigraph, g: ClassAFunction, x0: np.ndarray,
     lam2 = float(np.linalg.eigvalsh(q)[-2])
     vl = lyapunov_VL(x0, lap, g, bp.x)
     return 4.0 * vl / (abs(lam2) * bp.jump**2)
-
-
-def selection_hull(g: ClassAFunction, x: float, band: float) -> tuple[float, float]:
-    """Band-widened admissible selection range at state value x (test helper)."""
-    return g.eval_interval(x - band).lo, g.eval_interval(x + band).hi

@@ -194,6 +194,9 @@ def wra(x: np.ndarray, g: WeightedDigraph) -> float:
     return float(xi @ x[list(part.s1)])
 
 
+_ETA_BLOCK_ELEMENTS = 128**3  # one block up to n = 128 (16 MB of float64)
+
+
 def scrambling_coefficient(m: np.ndarray) -> float:
     """Scrambling coefficient of a Metzler matrix.
 
@@ -214,8 +217,12 @@ def scrambling_coefficient(m: np.ndarray) -> float:
     if (off < 0).any():
         raise ValueError("matrix is not Metzler: negative off-diagonal entry")
     # With the diagonal zeroed, the k = i, j terms contribute min(0, .) = 0,
-    # so the full k-sum equals the k != i, j sum.
-    shared = np.minimum(off[:, None, :], off[None, :, :]).sum(axis=2)
+    # so the full k-sum equals the k != i, j sum. Rows go in blocks so the
+    # rows x n x n temporary stays within _ETA_BLOCK_ELEMENTS.
+    shared = np.empty((n, n))
+    rows = max(1, _ETA_BLOCK_ELEMENTS // (n * n))
+    for r in range(0, n, rows):
+        shared[r:r + rows] = np.minimum(off[r:r + rows, None, :], off[None, :, :]).sum(axis=2)
     margins = off + off.T + shared
     iu = np.triu_indices(n, k=1)
     return float(margins[iu].min())

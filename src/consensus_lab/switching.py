@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Iterator, Protocol
 
 import numpy as np
 
-from .dynamics import SimOptions, Trajectory, _Recorder, _Stepper
+from .dynamics import RunSummary, SimOptions, Trajectory, integrate
 from .graph import WeightedDigraph, is_delta_scrambling, laplacian, scrambling_coefficient
 from .protocol import ClassAFunction, epsilon_separation, validated
 
@@ -149,13 +149,9 @@ class ScheduleInterval:
         return self.t_end - self.t_start
 
 
-def sample_schedule(proc: SwitchingProcess, t_max: float, rng_seed: int) -> list[ScheduleInterval]:
-    """Switch times and per-interval graphs on [0, t_max], fully seed-determined.
-
-    Durations and graphs come from two independent child streams of the seed.
-    """
+def _schedule(proc: SwitchingProcess, t_max: float, rng_seed: int) -> Iterator[ScheduleInterval]:
+    """The intervals of ``sample_schedule``, each sampled only when it is taken."""
     rng_dur, rng_graph = (np.random.default_rng(s) for s in np.random.SeedSequence(rng_seed).spawn(2))
-    out: list[ScheduleInterval] = []
     t = 0.0
     k = 0
     while t < t_max:
@@ -166,10 +162,17 @@ def sample_schedule(proc: SwitchingProcess, t_max: float, rng_seed: int) -> list
         lap = laplacian(graph)
         if np.abs(lap).max() > proc.bound + 1e-12:
             raise ValueError("sampled Laplacian exceeds the declared uniform bound")
-        out.append(ScheduleInterval(k, t, min(t + dt, t_max), graph, lap))
+        yield ScheduleInterval(k, t, min(t + dt, t_max), graph, lap)
         t += dt
         k += 1
-    return out
+
+
+def sample_schedule(proc: SwitchingProcess, t_max: float, rng_seed: int) -> list[ScheduleInterval]:
+    """Switch times and per-interval graphs on [0, t_max], fully seed-determined.
+
+    Durations and graphs come from two independent child streams of the seed.
+    """
+    return list(_schedule(proc, t_max, rng_seed))
 
 
 @dataclass(frozen=True)
@@ -192,10 +195,7 @@ def write_interval_reports_csv(reports: list[IntervalReport], path: str | Path) 
 
 
 @dataclass
-class SwitchingSummary:
-    consensus_reached: bool
-    time_to_tol: float | None
-    final_disagreement: float
+class SwitchingSummary(RunSummary):
     epsilon: float
     epsilon_exact: bool
     cumulative_exponent: float
@@ -203,9 +203,6 @@ class SwitchingSummary:
     delta: float | None
     delta_scrambling_intervals: int | None
     seed: int
-    steps: int
-    fallback_steps: int
-    options: SimOptions
 
 
 @dataclass
@@ -240,64 +237,40 @@ def simulate_switching(proc: SwitchingProcess, g: ClassAFunction, x0: np.ndarray
         )
     eps = sep.value
 
-    schedule = sample_schedule(proc, opts.t_max, seed)
-    rec = _Recorder(record_stride)
+    intervals: list[ScheduleInterval] = []
+
+    def segments():
+        for interval in _schedule(proc, opts.t_max, seed):
+            intervals.append(interval)
+            yield interval.lap, interval.t_end
+
+    traj, taken, summary = integrate(segments(), g, x, opts, record_stride, stop_at_consensus)
+    traj.meta["seed"] = seed
     reports: list[IntervalReport] = []
-    t = 0.0
-    steps = fallback_steps = 0
-    time_to_tol: float | None = None
     cumulative_exponent = 0.0
     delta_count: int | None = 0 if delta is not None else None
-    stop = False
-    tiny = 1e-12 * max(1.0, opts.t_max)
+    for interval, (v_start, v_end, t_reached) in zip(intervals, taken):
+        dt_actual = t_reached - interval.t_start
+        if dt_actual <= 0:
+            continue
+        eta = scrambling_coefficient(-interval.lap)
+        reports.append(IntervalReport(
+            k=interval.k,
+            dt=dt_actual,
+            eta=eta,
+            v_start=v_start,
+            v_end=v_end,
+            bound_rhs=v_start * math.exp(-eps * eta * dt_actual),
+        ))
+        cumulative_exponent += eps * eta * dt_actual
+        if delta is not None and is_delta_scrambling(interval.graph, delta):
+            delta_count += 1
 
-    for interval in schedule:
-        stepper = _Stepper(interval.lap, g, opts)
-        v_start = float(x.max() - x.min())
-        while t < interval.t_end - tiny:
-            if time_to_tol is None and x.max() - x.min() < opts.consensus_tol:
-                time_to_tol = t
-                if stop_at_consensus:
-                    stop = True
-                    break
-            x_new, t_new, gamma, sliding, _, fb = stepper.advance(x, t, interval.t_end - t)
-            rec.maybe_add(t, x, gamma, sliding)
-            x, t = x_new, t_new
-            steps += 1
-            fallback_steps += fb
-        if not stop:
-            t = interval.t_end
-        dt_actual = t - interval.t_start
-        if dt_actual > 0:
-            eta = scrambling_coefficient(-interval.lap)
-            v_end = float(x.max() - x.min())
-            reports.append(IntervalReport(
-                k=interval.k,
-                dt=dt_actual,
-                eta=eta,
-                v_start=v_start,
-                v_end=v_end,
-                bound_rhs=v_start * math.exp(-eps * eta * dt_actual),
-            ))
-            cumulative_exponent += eps * eta * dt_actual
-            if delta is not None and is_delta_scrambling(interval.graph, delta):
-                delta_count += 1
-        if stop:
-            break
-    if time_to_tol is None and x.max() - x.min() < opts.consensus_tol:
-        time_to_tol = t
-
-    gamma, sliding, _, _ = stepper.selection(x)
-    rec.add(t, x, gamma, sliding)
-    meta = {"dt": opts.dt, "band": opts.band, "t_max": opts.t_max,
-            "record_stride": record_stride, "seed": seed}
     return SwitchingRunResult(
-        trajectory=rec.build(meta),
+        trajectory=traj,
         reports=reports,
         summary=SwitchingSummary(
-            consensus_reached=time_to_tol is not None,
-            time_to_tol=time_to_tol,
-            final_disagreement=float(x.max() - x.min()),
+            **vars(summary),
             epsilon=eps,
             epsilon_exact=sep.exact,
             cumulative_exponent=cumulative_exponent,
@@ -305,9 +278,6 @@ def simulate_switching(proc: SwitchingProcess, g: ClassAFunction, x0: np.ndarray
             delta=delta,
             delta_scrambling_intervals=delta_count,
             seed=seed,
-            steps=steps,
-            fallback_steps=fallback_steps,
-            options=opts,
         ),
     )
 

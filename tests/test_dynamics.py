@@ -15,6 +15,7 @@ from consensus_lab import (
     step,
     unit_jump,
 )
+from consensus_lab.protocol import AffinePiece, ClassAFunction, identity
 from helpers import (
     adversarial_x0,
     check_selection_validity,
@@ -210,3 +211,85 @@ def test_simoptions_validation():
         SimOptions(dt=0)
     with pytest.raises(ValueError, match="t_max"):
         SimOptions(t_max=-1)
+
+
+def test_identity_coupling_is_plain_euler():
+    # No breakpoint: every step is x <- x - dt L x. dt = 1/64 keeps every t exact.
+    rng = np.random.default_rng(12)
+    graph = random_strongly_connected(rng, 6)
+    lap = laplacian(graph)
+    x0 = rng.uniform(-3, 3, 6)
+    opts = SimOptions(dt=1 / 64, t_max=2.0)
+    run = simulate_fixed(graph, identity(), x0, opts, record_stride=1, stop_at_consensus=False)
+    assert run.summary.steps == 128
+    x = x0.copy()
+    for k in range(129):
+        assert run.trajectory.t[k] == k / 64
+        np.testing.assert_array_equal(run.trajectory.x[k], x)
+        x = x - opts.dt * (lap @ x)
+
+
+def _two_jump_function():
+    return ClassAFunction((AffinePiece(-np.inf, 0.0, 1.0, 0.0), AffinePiece(0.0, 1.0, 1.0, 1.0),
+                           AffinePiece(1.0, np.inf, 1.0, 2.0)))
+
+
+def _first_band_dt(x, v, abscissas, opts):
+    """The nominal dt, or the earliest time a component reaches the first abscissa
+    past its own band when the nominal step would carry it beyond that band."""
+    dt = opts.dt
+    for xi, vi in zip(x, v):
+        ahead = [b for b in abscissas if (b > xi + opts.band if vi > 0 else b < xi - opts.band)]
+        if vi == 0 or not ahead:
+            continue
+        b = min(ahead) if vi > 0 else max(ahead)
+        end = xi + opts.dt * vi
+        if (end > b + opts.band) if vi > 0 else (end < b - opts.band):
+            dt = min(dt, (b - xi) / vi)
+    return dt
+
+
+def test_step_caps_at_first_band_with_two_jumps():
+    """Random states of a two-jump function: dt against a per-component oracle."""
+    g = _two_jump_function()
+    abscissas = (0.0, 1.0)
+    opts = SimOptions(dt=0.05, band=1e-3)
+    rng = np.random.default_rng(13)
+    capped = {False: 0, True: 0}
+    for trial in range(400):
+        n = int(rng.integers(2, 6))
+        lap = laplacian(random_strongly_connected(rng, n, weight_range=(1.0, 4.0)))
+        x = rng.uniform(-1.5, 2.5, n)
+        banded = trial % 2 == 1
+        if banded:
+            x[rng.integers(n)] = rng.choice(abscissas)
+        elif any(abs(xi - b) <= opts.band for xi in x for b in abscissas):
+            continue
+        res = step(State(0.0, x), lap, g, opts)
+        if banded:  # velocities from the step's own selection
+            v = -(lap @ res.gamma)
+            v[list(res.sliding_set)] = 0.0
+        else:
+            v = -(lap @ np.array([xi + sum(xi > b for b in abscissas) for xi in x]))
+            assert res.sliding_set == ()
+        dt = _first_band_dt(x, v, abscissas, opts)
+        assert res.dt == dt
+        capped[banded] += dt < opts.dt
+        for xi, yi in zip(x, res.state.x):
+            for b in abscissas:
+                if xi < b - opts.band:
+                    assert yi <= b + opts.band
+                elif xi > b + opts.band:
+                    assert yi >= b - opts.band
+    assert min(capped.values()) >= 20
+
+
+def test_step_from_a_band_may_land_in_the_next():
+    # Node 0 sits on the jump at 0 with its selection clamped at 1, so it moves
+    # up at 4 and lands inside the band of the jump at 1: no cap applies.
+    lap = np.array([[1.0, -1.0], [0.0, 0.0]])
+    opts = SimOptions(dt=0.250125, band=1e-3)
+    res = step(State(0.0, np.array([0.0, 3.0])), lap, _two_jump_function(), opts)
+    assert res.sliding_set == ()
+    assert res.dt == opts.dt
+    assert res.state.x[0] == 4 * opts.dt

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,19 @@ def test_eta_matches_oracle_random():
     for _ in range(50):
         m = random_metzler(rng, int(rng.integers(2, 9)))
         assert scrambling_coefficient(m) == pytest.approx(eta_oracle(m), abs=1e-12)
+    m = random_metzler(rng, 150)  # more rows than one block holds
+    assert scrambling_coefficient(m) == pytest.approx(eta_oracle(m), abs=1e-12)
+
+
+def test_eta_memory_stays_quadratic():
+    m = random_metzler(np.random.default_rng(11), 300)
+    tracemalloc.start()
+    try:
+        scrambling_coefficient(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, f"peak {peak / 1e6:.0f} MB; an n x n x n temporary takes over 200 MB"
 
 
 def test_eta_diagonal_invariance():

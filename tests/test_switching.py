@@ -9,12 +9,14 @@ from consensus_lab import (
     ConstantDuration,
     FixedGraphSampler,
     SimOptions,
+    SwitchingProcess,
     UniformDuration,
     estimate_expected_eta,
     laplacian,
     sample_blinking,
     sample_schedule,
     scrambling_coefficient,
+    simulate_fixed,
     simulate_switching,
 )
 from consensus_lab.protocol import CallablePiece, ClassAFunction
@@ -150,6 +152,34 @@ def test_switching_early_stop_trims_interval(fig1, uj):
     assert res.summary.consensus_reached
     assert res.reports[-1].dt < 10.0
     assert res.summary.time_to_tol < 50.0
+
+
+def test_switching_samples_only_the_intervals_it_reaches(fig1, uj):
+    calls = []
+
+    def counting(rng):
+        calls.append(1)
+        return fig1
+
+    proc = SwitchingProcess(UniformDuration(0.0, 1.0), counting)
+    x0 = np.array([-1.0, 1.0, 0.5, -0.5])
+    res = simulate_switching(proc, uj, x0, SimOptions(dt=1e-3, t_max=400.0), seed=4)
+    assert res.summary.consensus_reached
+    assert len(calls) == res.summary.n_intervals
+
+
+@pytest.mark.parametrize("name, x0, t_max", [
+    ("double_star", np.random.default_rng(7).uniform(-5, 5, 12), 100.0),
+    ("fig4", np.array([1.0, 1.0, 0.3, -0.2, -1.0, -1.0]), 5.0),
+])
+def test_one_segment_schedule_is_the_fixed_run(request, uj, name, x0, t_max):
+    graph = request.getfixturevalue(name)
+    opts = SimOptions(dt=1e-3, t_max=t_max)
+    fixed = simulate_fixed(graph, uj, x0, opts).trajectory
+    switched = simulate_switching(process_for_graph(graph, ConstantDuration(t_max)), uj, x0,
+                                  opts, seed=0).trajectory
+    for field in ("t", "x", "gamma", "sliding"):
+        np.testing.assert_array_equal(getattr(switched, field), getattr(fixed, field))
 
 
 def test_switching_delta_scrambling_count(fig1, uj):
