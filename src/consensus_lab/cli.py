@@ -69,6 +69,10 @@ _MODE_REQUIRES = {
 }
 
 
+# smallest accepted value of each integer count; n_samples >= 2 for a standard error
+_INT_MINIMA = {"n_samples": 2, "runs": 1, "stride": 1}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -127,6 +131,10 @@ def load_config(path: str | Path, mode: str | None = None,
     missing = [k for k in _MODE_REQUIRES[cfg.mode] if getattr(cfg, k) in (None, {})]
     if missing:
         raise ConfigError(f"mode {cfg.mode!r} needs config fields: {missing}")
+    for key, least in _INT_MINIMA.items():
+        value = getattr(cfg, key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
     return cfg
 
 

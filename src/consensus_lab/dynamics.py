@@ -14,7 +14,8 @@ produced trajectories can be checked against the set-valued semantics.
 
 ``integrate`` is the one integration loop. It steps through segments of
 constant Laplacian: a switching schedule is a sequence of them, a fixed
-topology a single one.
+topology a single one. Once a full-length step returns its input bit for
+bit, the rest of the segment replays only the time grid.
 """
 
 from __future__ import annotations
@@ -266,6 +267,7 @@ class RunSummary:
     final_disagreement: float
     steps: int
     fallback_steps: int
+    fixed_point_steps: int  # of ``steps``, replayed at an exact fixed point without stepping
     options: SimOptions
 
 
@@ -284,7 +286,7 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
     rec = _Recorder(record_stride)
     taken: list[tuple[float, float, float]] = []
     t = 0.0
-    steps = fallback_steps = 0
+    steps = fallback_steps = fixed_point_steps = 0
     time_to_tol: float | None = None
     tiny = 1e-12 * max(1.0, opts.t_max)
     for lap, t_end in segments:
@@ -297,11 +299,23 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
                 time_to_tol = t
             if t == t_end or (stop_at_consensus and time_to_tol is not None):
                 break
-            x_new, t_new, gamma, sliding, _, fb = stepper.advance(x, t, t_end - t)
+            x_new, t_new, gamma, sliding, dt, fb = stepper.advance(x, t, t_end - t)
             rec.maybe_add(t, x, gamma, sliding)
-            x, t = x_new, t_new
             steps += 1
             fallback_steps += fb
+            if dt == min(opts.dt, t_end - t) and x_new.tobytes() == x.tobytes():
+                # A step is a function of x and of a cap that only shrinks, and a
+                # shorter step from x rounds back to x too: every later step of
+                # this segment returns x with the same selection. Replay the grid.
+                t = t_new
+                while t < t_end - tiny:
+                    rec.maybe_add(t, x, gamma, sliding)
+                    t += min(opts.dt, t_end - t)
+                    steps += 1
+                    fixed_point_steps += 1
+                    fallback_steps += fb
+                continue
+            x, t = x_new, t_new
         taken.append((v_start, float(x.max() - x.min()), t))
         if stop_at_consensus and time_to_tol is not None:
             break
@@ -315,6 +329,7 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
         final_disagreement=float(x.max() - x.min()),
         steps=steps,
         fallback_steps=fallback_steps,
+        fixed_point_steps=fixed_point_steps,
         options=opts,
     )
     return rec.build(meta), taken, summary

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from consensus_lab import WeightedDigraph, wra
+from consensus_lab import State, WeightedDigraph, step, wra
 
 
 def brute_force_root_set(g: WeightedDigraph) -> set[int]:
@@ -162,3 +162,45 @@ def check_interval_decay(reports, dt, slack_factor=10.0):
         assert r.v_end <= r.bound_rhs + slack_factor * dt, (
             f"interval {r.k}: v_end={r.v_end} exceeds bound {r.bound_rhs} + slack"
         )
+
+
+def stepwise_reference(segments, g, x0, opts, stop_at_consensus=True):
+    """Every state of a run, taken with one public ``step`` call per step.
+
+    An oracle for the integration loop, not for the step: it shares the
+    library's stepping routine but none of the loop's bookkeeping.
+    Follows the integrator's time grid and stopping rule: within a segment
+    ``(lap, t_end)`` each step is capped at ``t_end - t``, t snaps to
+    ``t_end`` once within 1e-12*max(1, t_max) of it, and a run that has
+    reached the consensus tolerance takes no further step when asked to stop.
+    Returns ``t, x, gamma, sliding`` arrays of the state before every step
+    plus the final state, then the step and fallback counts.
+    """
+    tiny = 1e-12 * max(1.0, opts.t_max)
+    t, x = 0.0, np.asarray(x0, dtype=float)
+    ts, xs, gammas, slidings = [], [], [], []
+    steps = fallbacks = 0
+    reached = False
+
+    def record(t, x, res):
+        ts.append(t)
+        xs.append(x)
+        gammas.append(res.gamma)
+        slidings.append(np.isin(np.arange(len(x)), res.sliding_set))
+
+    for lap, t_end in segments:
+        while True:
+            if t >= t_end - tiny:
+                t = t_end
+            reached = reached or x.max() - x.min() < opts.consensus_tol
+            if t == t_end or (stop_at_consensus and reached):
+                break
+            res = step(State(t, x), lap, g, opts, dt_limit=t_end - t)
+            record(t, x, res)
+            t, x = res.state.t, res.state.x
+            steps += 1
+            fallbacks += res.used_fallback
+        if stop_at_consensus and reached:
+            break
+    record(t, x, step(State(t, x), lap, g, opts))  # only its selection is used
+    return np.array(ts), np.array(xs), np.array(gammas), np.array(slidings), steps, fallbacks

@@ -47,6 +47,16 @@ def test_fixed_double_star(bundle, tmp_path):
     assert header == "t," + ",".join(f"x_{i}" for i in range(12)) + ",V"
 
 
+def test_fixed_point_steps_reported(bundle, tmp_path):
+    out = tmp_path / "out"
+    code = main(["fixed", "--config", str(bundle / "fig4-nonconsensus.json"), "--out", str(out),
+                 "--t-max", "2.0"])
+    assert code == 0
+    result = read_summary(out)["result"]
+    assert result["consensus_reached"] is False
+    assert 0 < result["fixed_point_steps"] < result["steps"]
+
+
 def test_switching_mode_writes_intervals(bundle, tmp_path):
     cfg_path = tmp_path / "switching.json"
     cfg_path.write_text(json.dumps({
@@ -103,6 +113,27 @@ def test_missing_required_fields(tmp_path):
     p.write_text(json.dumps({"mode": "fixed", "graph": {"edge_list": "g.edges"}}))
     with pytest.raises(ConfigError, match="needs config fields"):
         load_config(p)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_samples", 1), ("runs", 0), ("runs", -3), ("stride", 0), ("stride", 2.5), ("runs", True),
+])
+def test_bad_counts_rejected(bundle, tmp_path, capsys, key, value):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({
+        "mode": "expected-eta",
+        "graph": {"edge_list": str(bundle / "graphs" / "fig1.edges")},
+        key: value,
+    }))
+    with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+        load_config(p)
+    assert main(["expected-eta", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_runs_override_rejected(bundle):
+    with pytest.raises(ConfigError, match="runs must be an integer >= 1"):
+        load_config(bundle / "double-star.json", overrides={"runs": 0})
 
 
 def test_missing_edge_list_file(tmp_path):

@@ -15,13 +15,21 @@ from consensus_lab import (
     step,
     unit_jump,
 )
+from consensus_lab import dynamics
 from consensus_lab.protocol import AffinePiece, ClassAFunction, identity
+from consensus_lab.switching import (
+    ConstantDuration,
+    process_for_graph,
+    sample_schedule,
+    simulate_switching,
+)
 from helpers import (
     adversarial_x0,
     check_selection_validity,
     check_shrinking,
     check_wra_conservation,
     random_strongly_connected,
+    stepwise_reference,
 )
 
 L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -293,3 +301,68 @@ def test_step_from_a_band_may_land_in_the_next():
     assert res.sliding_set == ()
     assert res.dt == opts.dt
     assert res.state.x[0] == 4 * opts.dt
+
+
+FIG4_X0 = np.array([1.0, 1.0, 0.5, -0.5, -1.0, -1.0])  # the bundled fig4-nonconsensus x0
+
+
+def assert_matches_stepwise(run, segments, g, x0, opts, stride=1, stop_at_consensus=True):
+    """The run's samples and counts, bit for bit against one ``step`` call per step."""
+    t, x, gamma, sliding, steps, fallbacks = stepwise_reference(
+        segments, g, x0, opts, stop_at_consensus)
+    keep = list(range(0, steps, stride)) + [steps]
+    traj = run.trajectory
+    np.testing.assert_array_equal(traj.t, t[keep])
+    np.testing.assert_array_equal(traj.x, x[keep])
+    np.testing.assert_array_equal(traj.gamma, gamma[keep])
+    np.testing.assert_array_equal(traj.sliding, sliding[keep])
+    assert (run.summary.steps, run.summary.fallback_steps) == (steps, fallbacks)
+    assert run.summary.fixed_point_steps > steps // 2  # the fast-forward took most steps
+
+
+@pytest.mark.parametrize("t_max, stride", [(5.0, 1), (5.0, 7), (5.0037, 1)])
+def test_fixed_point_fast_forward_matches_stepwise(fig4, uj, t_max, stride):
+    # 5.0037 is no multiple of dt: the short last step falls inside the replay
+    opts = SimOptions(dt=1e-3, t_max=t_max)
+    run = simulate_fixed(fig4, uj, FIG4_X0, opts, record_stride=stride)
+    assert not run.summary.consensus_reached
+    assert_matches_stepwise(run, [(laplacian(fig4), t_max)], uj, FIG4_X0, opts, stride)
+
+
+def test_fast_forward_after_consensus_matches_stepwise(double_star, uj):
+    # the sources start at +-1, so consensus is reached at the jump and held by
+    # midpoint-fallback steps, which the replay counts too
+    x0 = np.random.default_rng(7).uniform(-5, 5, 12)
+    x0[:2] = 1.0, -1.0
+    opts = SimOptions(dt=1e-3, t_max=5.0)
+    run = simulate_fixed(double_star, uj, x0, opts, stop_at_consensus=False)
+    assert run.summary.consensus_reached and run.summary.fallback_steps > 0
+    assert_matches_stepwise(run, [(laplacian(double_star), 5.0)], uj, x0, opts,
+                            stop_at_consensus=False)
+
+
+def test_fast_forward_in_every_switching_segment_matches_stepwise(fig4, uj):
+    proc = process_for_graph(fig4, ConstantDuration(0.25))
+    opts = SimOptions(dt=1e-3, t_max=5.0)
+    run = simulate_switching(proc, uj, FIG4_X0, opts, seed=3)
+    schedule = sample_schedule(proc, opts.t_max, 3)
+    assert run.summary.n_intervals == len(schedule) == 20
+    assert_matches_stepwise(run, [(iv.lap, iv.t_end) for iv in schedule], uj, FIG4_X0, opts)
+    # once fixed, each later segment takes one computed step and replays the rest
+    assert run.summary.steps - run.summary.fixed_point_steps < 400
+
+
+def test_fixed_point_fast_forward_skips_the_stepper(fig4, uj, monkeypatch):
+    calls = 0
+    advance = dynamics._Stepper.advance
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        return advance(self, *args)
+
+    monkeypatch.setattr(dynamics._Stepper, "advance", counting)
+    run = simulate_fixed(fig4, uj, FIG4_X0, SimOptions(dt=1e-3, t_max=100.0), record_stride=10)
+    assert run.summary.steps == 100_001  # summed dt falls just short of t_max: one short step
+    assert calls <= 400
+    assert run.summary.fixed_point_steps + calls == run.summary.steps
