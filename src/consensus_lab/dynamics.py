@@ -1,11 +1,14 @@
 """Integration of x' = -L g(x) with sliding-mode handling at jump points.
 
-The integrator is explicit Euler with two discontinuity-aware ingredients:
+The integrator is explicit Euler with two discontinuity-aware ingredients,
+both decided once per step by one band test: a component lies in band k,
+``[b_k - band, b_k + band]`` around jump abscissa ``b_k``, exactly when its
+band-edge index is 2k + 1.
 
-* selections: components within ``band`` of a jump abscissa get their
-  coupling value from a linear solve that zeroes their velocity (the sliding
-  condition), clamped to the jump interval; strictly interior solutions mean
-  the component slides and its state is pinned to the abscissa,
+* selections: banded components get their coupling value from a linear solve
+  that zeroes their velocity (the sliding condition), clamped to their jump's
+  interval ``[g(b_k-), g(b_k+)]``; strictly interior solutions mean the
+  component slides and its state is pinned to ``b_k``,
 * event capping: the step size is shortened so that no component can cross
   a jump band in a single step without landing inside it.
 
@@ -21,6 +24,7 @@ bit, the rest of the segment replays only the time grid.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -111,7 +115,7 @@ class Trajectory:
 
 class _Recorder:
     def __init__(self, stride: int):
-        self.stride = max(1, int(stride))
+        self.stride = stride
         self.t: list[float] = []
         self.x: list[np.ndarray] = []
         self.gamma: list[np.ndarray] = []
@@ -159,26 +163,20 @@ class _Stepper:
             raise ValueError("jump bands overlap: breakpoints must be more than 2*band apart")
         self.edges = np.array(edges)
 
-    def selection(self, x: np.ndarray):
-        """Selection vector, sliding mask, nearest-jump indices, fallback flag."""
-        n = len(x)
-        sliding = np.zeros(n, dtype=bool)
-        if not len(self.bxs):
-            return self.g.values(x), sliding, None, False
-        j = np.searchsorted(self.bxs, x)
-        dist_lo = np.where(j > 0, x - self.bxs[np.maximum(j - 1, 0)], np.inf)
-        dist_hi = np.where(j < len(self.bxs), self.bxs[np.minimum(j, len(self.bxs) - 1)] - x, np.inf)
-        nearest = np.where(dist_lo <= dist_hi, j - 1, j)
-        banded = np.minimum(dist_lo, dist_hi) <= self.opts.band
-        gamma = np.empty(n)
-        free = ~banded
-        if free.any():
-            gamma[free] = self.g.values(x[free])
+    def selection(self, x: np.ndarray, k: np.ndarray):
+        """Selection vector, sliding mask and fallback flag at ``x``.
+
+        ``k`` is the band-edge index of ``x``: component i is banded iff
+        ``k[i]`` is odd, and its jump is ``k[i] // 2``.
+        """
+        banded = (k & 1).astype(bool)
+        gamma = self.g.values(x)
+        sliding = np.zeros(len(x), dtype=bool)
         fallback = False
         if banded.any():
             b = np.flatnonzero(banded)
-            f = np.flatnonzero(free)
-            bi = nearest[b]
+            f = np.flatnonzero(~banded)
+            bi = k[b] // 2
             lo, hi = self.blo[bi], self.bhi[bi]
             lbb = self.lap[np.ix_(b, b)]
             rhs = -(self.lap[np.ix_(b, f)] @ gamma[f]) if f.size else np.zeros(len(b))
@@ -189,7 +187,7 @@ class _Stepper:
             sol = np.clip(sol, lo, hi)
             gamma[b] = sol
             sliding[b] = (sol > lo) & (sol < hi)
-        return gamma, sliding, nearest, fallback
+        return gamma, sliding, fallback
 
     def advance(self, x: np.ndarray, t: float, dt_cap: float):
         # overflow is handled by the explicit finiteness checks below
@@ -203,11 +201,11 @@ class _Stepper:
         k = self.edges.searchsorted(x, side="right")
         in_band = k & 1
         if np.count_nonzero(in_band):
-            gamma, sliding, nearest, fallback = self.selection(x)
+            gamma, sliding, fallback = self.selection(x, k)
             v = -(self.lap @ gamma)
             v[sliding] = 0.0
             x_new, dt = self._capped_step(x, v, k, in_band, dt)
-            x_new[sliding] = self.bxs[nearest[sliding]]
+            x_new[sliding] = self.bxs[k[sliding] // 2]
         else:
             gamma = self.g.values(x)
             v = -(self.lap @ gamma)
@@ -282,6 +280,9 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
     the summary. Segments are taken one at a time and none after the run
     stops at consensus. ``g`` must already be validated.
     """
+    if isinstance(record_stride, bool) or not isinstance(record_stride, numbers.Integral) \
+            or record_stride < 1:
+        raise ValueError(f"record_stride must be an integer >= 1, got {record_stride!r}")
     x = np.asarray(x0, dtype=float)
     rec = _Recorder(record_stride)
     taken: list[tuple[float, float, float]] = []
@@ -319,7 +320,7 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
         taken.append((v_start, float(x.max() - x.min()), t))
         if stop_at_consensus and time_to_tol is not None:
             break
-    gamma, sliding, _, _ = stepper.selection(x)
+    gamma, sliding, _ = stepper.selection(x, stepper.edges.searchsorted(x, side="right"))
     rec.add(t, x, gamma, sliding)
 
     meta = {"dt": opts.dt, "band": opts.band, "t_max": opts.t_max, "record_stride": record_stride}

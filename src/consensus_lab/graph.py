@@ -40,11 +40,6 @@ class WeightedDigraph:
         object.__setattr__(self, "weights", w)
 
     @classmethod
-    def from_weights(cls, weights: np.ndarray) -> "WeightedDigraph":
-        weights = np.asarray(weights, dtype=float)
-        return cls(weights.shape[0], weights)
-
-    @classmethod
     def from_edges(cls, n: int, edges) -> "WeightedDigraph":
         """Build from (src, dst, weight) triples; an edge src->dst sets W[dst, src]."""
         w = np.zeros((n, n))

@@ -122,13 +122,6 @@ class ClassAFunction:
             self._slopes = np.array([p.slope for p in pieces])
             self._intercepts = np.array([p.intercept for p in pieces])
 
-    @property
-    def is_affine(self) -> bool:
-        return self._all_affine
-
-    def piece_index(self, x: float) -> int:
-        return int(np.searchsorted(self._junctions, x, side="left"))
-
     def value(self, x: float) -> float:
         """Point value; at a breakpoint returns the midpoint convention."""
         k = np.searchsorted(self._junctions, x, side="left")

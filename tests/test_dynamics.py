@@ -214,6 +214,13 @@ def test_simulate_rejects_bad_x0(two_node, uj):
         simulate_fixed(two_node, uj, np.array([np.nan, 0.0]), SimOptions())
 
 
+
+@pytest.mark.parametrize("stride", [0, -3, 2.7, True])
+def test_simulate_rejects_bad_record_stride(two_node, uj, stride):
+    with pytest.raises(ValueError, match="record_stride"):
+        simulate_fixed(two_node, uj, np.array([-1.0, 1.0]), SimOptions(t_max=0.01),
+                       record_stride=stride)
+
 def test_simoptions_validation():
     with pytest.raises(ValueError, match="dt"):
         SimOptions(dt=0)
@@ -302,6 +309,17 @@ def test_step_from_a_band_may_land_in_the_next():
     assert res.dt == opts.dt
     assert res.state.x[0] == 4 * opts.dt
 
+
+
+@pytest.mark.parametrize("b,side", [(0.0, -1), (0.0, 1), (1.0, -1), (1.0, 1)])
+def test_selection_at_a_band_edge_lies_in_its_jump_interval(b, side):
+    # Node 0 sits on an edge of the band [b - band, b + band] and follows node 1,
+    # which pulls it up with g(1.5) = 3.5: its selection clamps to g(b+).
+    g = _two_jump_function()
+    opts = SimOptions(band=1e-6)
+    x = np.array([b + side * opts.band, 1.5])
+    res = step(State(0.0, x), np.array([[1.0, -1.0], [0.0, 0.0]]), g, opts)
+    assert res.gamma[0] in g.eval_interval(b)
 
 FIG4_X0 = np.array([1.0, 1.0, 0.5, -0.5, -1.0, -1.0])  # the bundled fig4-nonconsensus x0
 
