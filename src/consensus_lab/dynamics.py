@@ -19,6 +19,15 @@ produced trajectories can be checked against the set-valued semantics.
 constant Laplacian: a switching schedule is a sequence of them, a fixed
 topology a single one. Once a full-length step returns its input bit for
 bit, the rest of the segment replays only the time grid.
+
+Free-flight blocks: while no component is banded and every piece of g is
+affine, a step is the affine map ``x - dt * (L @ (s*x + c))`` with each
+component's piece slope ``s`` and intercept ``c``. The loop then takes a run
+of such steps in one tight loop and keeps them up to the first state that
+changes its band-edge or piece index, leaves the state space, reaches the
+consensus tolerance or is an exact fixed point; the normal step takes over
+from there. The kept states are bit for bit those of single steps, and the
+summary counts them in ``free_flight_steps``.
 """
 
 from __future__ import annotations
@@ -40,6 +49,13 @@ from .graph import (
     wra,
 )
 from .protocol import ClassAFunction, validated
+
+# Free-flight block length in steps: it halves after a block that was cut and
+# doubles after one that ran to its end, within these limits. The state rows
+# of one block hold at most _BLOCK_ELEMENTS floats (32 KiB). A block is cut
+# only after it is computed, so a longer one wastes more steps at its cut.
+_BLOCK_MIN_STEPS = 8
+_BLOCK_ELEMENTS = 1 << 12
 
 
 class IntegrationError(RuntimeError):
@@ -79,6 +95,11 @@ def disagreement(x: np.ndarray) -> Disagreement:
     return Disagreement(vmax, vmin, vmax - vmin)
 
 
+def _check_stride(name: str, stride) -> None:
+    if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {stride!r}")
+
+
 @dataclass
 class Trajectory:
     """Time-ordered samples with per-sample selection and sliding diagnostics."""
@@ -99,8 +120,7 @@ class Trajectory:
 
     def to_csv(self, path: str | Path, stride: int = 1) -> None:
         """Write ``t,x_0,...,x_{n-1},V`` rows at the given sample stride."""
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
+        _check_stride("stride", stride)
         idx = list(range(0, len(self.t), stride))
         if idx[-1] != len(self.t) - 1:
             idx.append(len(self.t) - 1)
@@ -133,6 +153,16 @@ class _Recorder:
         self.gamma.append(gamma.copy())
         self.sliding.append(sliding.copy())
 
+    def maybe_add_free(self, t: np.ndarray, x: np.ndarray, s: np.ndarray, c: np.ndarray) -> None:
+        """``maybe_add`` for each row of a free-flight block: selection s*x + c, none sliding."""
+        keep = slice((-self._count) % self.stride, None, self.stride)
+        rows = x[keep]
+        self.t.extend(t[keep].tolist())
+        self.x.extend(rows.copy())
+        self.gamma.extend(s * rows + c)
+        self.sliding.extend(np.zeros(rows.shape, dtype=bool))
+        self._count += len(t)
+
     def build(self, meta: dict) -> Trajectory:
         x = np.array(self.x)
         return Trajectory(
@@ -162,6 +192,8 @@ class _Stepper:
         if edges != sorted(edges):
             raise ValueError("jump bands overlap: breakpoints must be more than 2*band apart")
         self.edges = np.array(edges)
+        self._block_len = _BLOCK_MIN_STEPS  # steps the next free-flight block tries
+        self._block = None  # its state rows, allocated at the first block
 
     def selection(self, x: np.ndarray, k: np.ndarray):
         """Selection vector, sliding mask and fallback flag at ``x``.
@@ -230,6 +262,74 @@ class _Stepper:
             x_new = x + dt * v
         return x_new, dt
 
+    def free_flight(self, x: np.ndarray, t: float, t_end: float, tiny: float,
+                    consensus_tol: float | None):
+        """A block of free steps from ``x``, bit for bit the ones ``advance`` takes.
+
+        Returns the times and states of the block, start included, and each
+        component's piece slope and intercept; None when no step can be taken
+        this way. The block ends before a step of less than full length or one
+        from within ``tiny`` of ``t_end``, and at the first state that reaches
+        ``consensus_tol`` (None: not looked for) or is an exact fixed point.
+        """
+        g = self.g
+        if not g._all_affine:
+            return None
+        k0 = self.edges.searchsorted(x, side="right")
+        if np.count_nonzero(k0 & 1):
+            return None
+        dt = self.opts.dt
+        n = len(x)
+        length = self._block_len
+        times = np.full(length + 1, dt)
+        times[0] = t
+        np.add.accumulate(times, out=times)  # sequential sums: the grid of repeated t += dt
+        starts = times[:-1]
+        m = int(np.count_nonzero((starts < t_end - tiny) & (t_end - starts >= dt)))
+        if m == 0:
+            return None
+        if self._block is None or len(self._block) <= length:
+            self._block = np.empty((length + 1, n))
+            self._rows = list(self._block)
+            self._gamma, self._v = np.empty(n), np.empty(n)
+        lap, rows, gamma, v = self.lap, self._rows, self._gamma, self._v
+        # the piece index, not k0 // 2: a continuity junction splits a band gap
+        p0 = g._junctions.searchsorted(x, side="left")
+        s, c = g._slopes[p0], g._intercepts[p0]
+        rows[0][:] = x
+        e = m
+        with np.errstate(over="ignore", invalid="ignore"):
+            prev = rows[0].tobytes()
+            for j in range(m):
+                # x - dt*(L @ gamma) is x + dt*(-(L @ gamma)): negation is exact
+                np.multiply(s, rows[j], gamma)  # positional out: a keyword costs 10%
+                np.add(gamma, c, gamma)
+                np.matmul(lap, gamma, v)
+                np.multiply(v, dt, v)
+                np.subtract(rows[j], v, rows[j + 1])
+                cur = rows[j + 1].tobytes()
+                if cur == prev:  # a fixed point: ``advance`` finds it and the loop replays
+                    e = j
+                    break
+                prev = cur
+            new = self._block[1:e + 1]
+            stop = ((self.edges.searchsorted(new, side="right") != k0).any(axis=1)
+                    | (g._junctions.searchsorted(new, side="left") != p0).any(axis=1)
+                    | ~np.isfinite(new).all(axis=1))
+            if stop.any():
+                e = int(stop.argmax())
+            if consensus_tol is not None:
+                reached = new[:e].max(axis=1) - new[:e].min(axis=1) < consensus_tol
+                if reached.any():
+                    e = int(reached.argmax()) + 1
+        if e < m:
+            self._block_len = max(_BLOCK_MIN_STEPS, length // 2)
+        elif m == length:
+            self._block_len = min(2 * length, max(_BLOCK_MIN_STEPS, _BLOCK_ELEMENTS // n))
+        if e == 0:
+            return None
+        return times[:e + 1], self._block[:e + 1], s, c
+
 
 @dataclass(frozen=True)
 class StepResult:
@@ -266,6 +366,7 @@ class RunSummary:
     steps: int
     fallback_steps: int
     fixed_point_steps: int  # of ``steps``, replayed at an exact fixed point without stepping
+    free_flight_steps: int  # of ``steps``, taken inside free-flight blocks
     options: SimOptions
 
 
@@ -280,14 +381,12 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
     the summary. Segments are taken one at a time and none after the run
     stops at consensus. ``g`` must already be validated.
     """
-    if isinstance(record_stride, bool) or not isinstance(record_stride, numbers.Integral) \
-            or record_stride < 1:
-        raise ValueError(f"record_stride must be an integer >= 1, got {record_stride!r}")
+    _check_stride("record_stride", record_stride)
     x = np.asarray(x0, dtype=float)
     rec = _Recorder(record_stride)
     taken: list[tuple[float, float, float]] = []
     t = 0.0
-    steps = fallback_steps = fixed_point_steps = 0
+    steps = fallback_steps = fixed_point_steps = free_flight_steps = 0
     time_to_tol: float | None = None
     tiny = 1e-12 * max(1.0, opts.t_max)
     for lap, t_end in segments:
@@ -300,6 +399,15 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
                 time_to_tol = t
             if t == t_end or (stop_at_consensus and time_to_tol is not None):
                 break
+            block = stepper.free_flight(x, t, t_end, tiny,
+                                        opts.consensus_tol if time_to_tol is None else None)
+            if block is not None:
+                times, states, s, c = block
+                rec.maybe_add_free(times[:-1], states[:-1], s, c)
+                steps += len(times) - 1
+                free_flight_steps += len(times) - 1
+                t, x = float(times[-1]), states[-1].copy()
+                continue
             x_new, t_new, gamma, sliding, dt, fb = stepper.advance(x, t, t_end - t)
             rec.maybe_add(t, x, gamma, sliding)
             steps += 1
@@ -320,6 +428,8 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
         taken.append((v_start, float(x.max() - x.min()), t))
         if stop_at_consensus and time_to_tol is not None:
             break
+    if not taken:
+        raise ValueError("no segments")
     gamma, sliding, _ = stepper.selection(x, stepper.edges.searchsorted(x, side="right"))
     rec.add(t, x, gamma, sliding)
 
@@ -331,6 +441,7 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
         steps=steps,
         fallback_steps=fallback_steps,
         fixed_point_steps=fixed_point_steps,
+        free_flight_steps=free_flight_steps,
         options=opts,
     )
     return rec.build(meta), taken, summary

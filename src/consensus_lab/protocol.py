@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 SAMPLES_PER_PIECE = 10_000  # density for monotonicity / separation estimates
 
@@ -174,6 +173,8 @@ class ClassAFunction:
             if isinstance(piece, AffinePiece):
                 total += 0.5 * piece.slope * (q * q - p * p) + piece.intercept * (q - p)
             else:
+                from scipy.integrate import quad  # imported here: only callable pieces need it
+
                 total += quad(piece.value, p, q, limit=200)[0]
         return sign * total
 

@@ -55,6 +55,8 @@ def test_fixed_point_steps_reported(bundle, tmp_path):
     result = read_summary(out)["result"]
     assert result["consensus_reached"] is False
     assert 0 < result["fixed_point_steps"] < result["steps"]
+    # the free steps before the fixed point are taken in free-flight blocks
+    assert 0 < result["free_flight_steps"] <= result["steps"] - result["fixed_point_steps"]
 
 
 def test_switching_mode_writes_intervals(bundle, tmp_path):
@@ -193,6 +195,7 @@ def test_runs_batch(bundle, tmp_path):
     assert len(set(seeds)) == 3
     for idx in range(3):
         assert (out / f"run_{idx:03d}" / "trajectory.csv").exists()
+        assert agg["per_run"][idx]["result"]["free_flight_steps"] > 0
 
 
 def test_graph_dump_stride(bundle, tmp_path):

@@ -16,9 +16,12 @@ from consensus_lab import (
     unit_jump,
 )
 from consensus_lab import dynamics
-from consensus_lab.protocol import AffinePiece, ClassAFunction, identity
+from consensus_lab.bundled import double_star_graph, fig4_graph
+from consensus_lab.protocol import AffinePiece, CallablePiece, ClassAFunction, identity
 from consensus_lab.switching import (
+    BlinkingModel,
     ConstantDuration,
+    process_for_blinking,
     process_for_graph,
     sample_schedule,
     simulate_switching,
@@ -335,7 +338,7 @@ def assert_matches_stepwise(run, segments, g, x0, opts, stride=1, stop_at_consen
     np.testing.assert_array_equal(traj.gamma, gamma[keep])
     np.testing.assert_array_equal(traj.sliding, sliding[keep])
     assert (run.summary.steps, run.summary.fallback_steps) == (steps, fallbacks)
-    assert run.summary.fixed_point_steps > steps // 2  # the fast-forward took most steps
+    return t, x
 
 
 @pytest.mark.parametrize("t_max, stride", [(5.0, 1), (5.0, 7), (5.0037, 1)])
@@ -345,6 +348,7 @@ def test_fixed_point_fast_forward_matches_stepwise(fig4, uj, t_max, stride):
     run = simulate_fixed(fig4, uj, FIG4_X0, opts, record_stride=stride)
     assert not run.summary.consensus_reached
     assert_matches_stepwise(run, [(laplacian(fig4), t_max)], uj, FIG4_X0, opts, stride)
+    assert run.summary.fixed_point_steps > run.summary.steps // 2  # the fast-forward took most
 
 
 def test_fast_forward_after_consensus_matches_stepwise(double_star, uj):
@@ -357,6 +361,7 @@ def test_fast_forward_after_consensus_matches_stepwise(double_star, uj):
     assert run.summary.consensus_reached and run.summary.fallback_steps > 0
     assert_matches_stepwise(run, [(laplacian(double_star), 5.0)], uj, x0, opts,
                             stop_at_consensus=False)
+    assert run.summary.fixed_point_steps > run.summary.steps // 2
 
 
 def test_fast_forward_in_every_switching_segment_matches_stepwise(fig4, uj):
@@ -366,6 +371,7 @@ def test_fast_forward_in_every_switching_segment_matches_stepwise(fig4, uj):
     schedule = sample_schedule(proc, opts.t_max, 3)
     assert run.summary.n_intervals == len(schedule) == 20
     assert_matches_stepwise(run, [(iv.lap, iv.t_end) for iv in schedule], uj, FIG4_X0, opts)
+    assert run.summary.fixed_point_steps > run.summary.steps // 2
     # once fixed, each later segment takes one computed step and replays the rest
     assert run.summary.steps - run.summary.fixed_point_steps < 400
 
@@ -383,4 +389,128 @@ def test_fixed_point_fast_forward_skips_the_stepper(fig4, uj, monkeypatch):
     run = simulate_fixed(fig4, uj, FIG4_X0, SimOptions(dt=1e-3, t_max=100.0), record_stride=10)
     assert run.summary.steps == 100_001  # summed dt falls just short of t_max: one short step
     assert calls <= 400
-    assert run.summary.fixed_point_steps + calls == run.summary.steps
+    s = run.summary
+    assert s.fixed_point_steps + s.free_flight_steps + calls == s.steps
+
+
+def _continuity_function():
+    # continuous at 0.5 (both sides give 1.5): x in (0, 0.5) and x > 0.5 share
+    # band-edge index 2 but not their piece, so k // 2 names the wrong slope
+    return ClassAFunction((AffinePiece(-np.inf, 0.0, 1.0, 0.0), AffinePiece(0.0, 0.5, 1.0, 1.0),
+                           AffinePiece(0.5, np.inf, 2.0, 0.5)))
+
+
+def _free_flight_case(name):
+    rng = np.random.default_rng(21)
+    tree = random_strongly_connected(rng, 6)
+    if name == "double-star":
+        return (double_star_graph(), unit_jump(), np.random.default_rng(7).uniform(-5, 5, 12),
+                SimOptions(dt=1e-3, t_max=20.0))
+    if name == "tree":
+        return tree, unit_jump(), rng.uniform(-3, 3, 6), SimOptions(dt=2e-3, t_max=30.0, consensus_tol=1e-4)
+    if name == "two-jump":  # bands wide enough that free steps land in them short of the jump
+        return tree, _two_jump_function(), rng.uniform(-1.5, 2.5, 6), \
+            SimOptions(dt=2e-3, t_max=30.0, band=1e-2)
+    if name == "continuity-junction":
+        return tree, _continuity_function(), rng.uniform(-1.0, 2.0, 6), SimOptions(dt=2e-3, t_max=30.0)
+    # no jump: the middle nodes settle on an exact fixed point at 1.5 in free flight
+    return fig4_graph(), identity(), np.array([1.0, 1.0, 0.3, 0.2, 2.0, 2.0]), \
+        SimOptions(dt=1e-2, t_max=30.0)
+
+
+def _block_times(monkeypatch):
+    """The time grid of every free-flight block the following runs take."""
+    blocks = []
+    free_flight = dynamics._Stepper.free_flight
+
+    def spy(self, *args):
+        block = free_flight(self, *args)
+        if block is not None:
+            blocks.append(block[0].copy())
+        return block
+
+    monkeypatch.setattr(dynamics._Stepper, "free_flight", spy)
+    return blocks
+
+
+def _cut_reasons(t, x, blocks, lap, g, opts):
+    """Why blocks ended, read off the reference states at and after each block's end."""
+    edges = dynamics._Stepper(lap, g, opts).edges
+    reasons = set()
+    for i in np.searchsorted(t, [b[-1] for b in blocks]):
+        if x[i].max() - x[i].min() < opts.consensus_tol:
+            reasons.add("consensus")
+        elif x[i + 1].tobytes() == x[i].tobytes() != x[i - 1].tobytes():
+            reasons.add("fixed point")
+        elif (edges.searchsorted(x[i + 1], side="right") != edges.searchsorted(x[i], side="right")).any():
+            reasons.add("band")
+        elif (g._junctions.searchsorted(x[i + 1]) != g._junctions.searchsorted(x[i])).any():
+            reasons.add("piece")
+    return reasons
+
+
+@pytest.mark.parametrize("name, stride, reasons", [
+    ("double-star", 1, {"band", "consensus"}),
+    ("double-star", 7, {"band", "consensus"}),
+    ("tree", 1, {"consensus"}),
+    ("tree", 7, {"consensus"}),
+    ("two-jump", 1, {"band"}),
+    ("continuity-junction", 1, {"piece"}),
+    ("fixed-point", 1, {"fixed point"}),
+])
+def test_free_flight_matches_stepwise(monkeypatch, name, stride, reasons):
+    graph, g, x0, opts = _free_flight_case(name)
+    blocks = _block_times(monkeypatch)
+    run = simulate_fixed(graph, g, x0, opts, record_stride=stride)
+    lap = laplacian(graph)
+    t, x = assert_matches_stepwise(run, [(lap, opts.t_max)], g, x0, opts, stride)
+    assert run.summary.free_flight_steps == sum(len(b) - 1 for b in blocks) > 0
+    assert reasons <= _cut_reasons(t, x, blocks, lap, g, opts)
+
+
+def test_free_flight_across_switching_segments_matches_stepwise(monkeypatch, uj):
+    proc = process_for_blinking(BlinkingModel(n=6, K=1, p=0.3, w=1.0), ConstantDuration(0.25))
+    x0 = np.random.default_rng(22).uniform(-3, 3, 6)
+    opts = SimOptions(dt=2e-3, t_max=10.0, consensus_tol=1e-4)
+    blocks = _block_times(monkeypatch)
+    run = simulate_switching(proc, uj, x0, opts, seed=5, record_stride=3)
+    schedule = sample_schedule(proc, opts.t_max, 5)[:run.summary.n_intervals]
+    assert run.summary.consensus_reached and len(schedule) > 10
+    assert_matches_stepwise(run, [(iv.lap, iv.t_end) for iv in schedule], uj, x0, opts, stride=3)
+    assert run.summary.free_flight_steps == sum(len(b) - 1 for b in blocks) > run.summary.steps // 2
+    assert all(b[-1] <= iv.t_end for b in blocks for iv in schedule if iv.t_start <= b[0] < iv.t_end)
+
+
+def test_callable_pieces_take_no_free_flight(two_node):
+    g = ClassAFunction((CallablePiece(-np.inf, 0.0, lambda s: s, hi_limit=0.0),
+                        CallablePiece(0.0, np.inf, lambda s: s + 1.0, lo_limit=1.0)))
+    x0 = np.array([-1.0, 1.5])
+    opts = SimOptions(dt=1e-2, t_max=0.6)
+    run = simulate_fixed(two_node, g, x0, opts)
+    assert run.summary.free_flight_steps == 0 and run.summary.steps > 50
+    assert_matches_stepwise(run, [(laplacian(two_node), opts.t_max)], g, x0, opts)
+
+
+def test_integrate_rejects_no_segments(uj):
+    with pytest.raises(ValueError, match="no segments"):
+        dynamics.integrate([], uj, np.zeros(2), SimOptions())
+
+
+@pytest.mark.parametrize("stride", [0, 2.5, True])
+def test_to_csv_rejects_bad_stride(tmp_path, two_node, uj, stride):
+    run = simulate_fixed(two_node, uj, np.array([-1.0, 1.0]), SimOptions(dt=1e-2, t_max=0.1))
+    with pytest.raises(ValueError, match="stride must be an integer >= 1"):
+        run.trajectory.to_csv(tmp_path / "traj.csv", stride=stride)
+
+
+def test_free_flight_hands_overflow_to_the_stepper(monkeypatch):
+    # node 0 follows the fixed node 1 with dt = 10: x_0 <- -9 x_0 until it overflows
+    lap = np.array([[1.0, -1.0], [0.0, 0.0]])
+    x0, opts = np.array([1.0, 0.0]), SimOptions(dt=10.0, t_max=1e5)
+    blocks = _block_times(monkeypatch)
+    with pytest.raises(IntegrationError) as err:
+        simulate_fixed(WeightedDigraph.from_laplacian(lap), identity(), x0, opts)
+    with pytest.raises(IntegrationError) as ref:
+        stepwise_reference([(lap, opts.t_max)], identity(), x0, opts)
+    assert str(err.value) == str(ref.value)
+    assert sum(len(b) - 1 for b in blocks) > 200

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -204,3 +207,11 @@ def test_from_config_rejects_invalid_function():
 def test_values_vectorized_matches_scalar(uj):
     xs = np.array([-3.0, -0.5, 0.25, 4.0])
     np.testing.assert_allclose(uj.values(xs), [uj.value(float(x)) for x in xs])
+
+
+def test_import_leaves_scipy_integrate_out():
+    # quad is imported where a callable piece is integrated, not with the package
+    code = "import sys, consensus_lab; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
