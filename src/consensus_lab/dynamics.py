@@ -95,6 +95,11 @@ def disagreement(x: np.ndarray) -> Disagreement:
     return Disagreement(vmax, vmin, vmax - vmin)
 
 
+def _spread(x: np.ndarray) -> float:
+    """``x.max() - x.min()`` as Python floats: a diverging state gives inf, not an overflow warning."""
+    return float(x.max()) - float(x.min())
+
+
 def _check_stride(name: str, stride) -> None:
     if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {stride!r}")
@@ -165,12 +170,14 @@ class _Recorder:
 
     def build(self, meta: dict) -> Trajectory:
         x = np.array(self.x)
+        with np.errstate(over="ignore"):  # a spread past the float range is inf
+            spread = x.max(axis=1) - x.min(axis=1)
         return Trajectory(
             t=np.array(self.t),
             x=x,
             gamma=np.array(self.gamma),
             sliding=np.array(self.sliding),
-            spread=x.max(axis=1) - x.min(axis=1),
+            spread=spread,
             meta=meta,
         )
 
@@ -194,26 +201,45 @@ class _Stepper:
         self.edges = np.array(edges)
         self._block_len = _BLOCK_MIN_STEPS  # steps the next free-flight block tries
         self._block = None  # its state rows, allocated at the first block
+        # the last selection's k.tobytes(), its _banded_set and whether L_bb is rank-deficient
+        self._banded_key = self._banded = None
+        self._deficient = False
+
+    def _banded_set(self, k: np.ndarray):
+        """``b, f, lo, hi, L_bb, L_bf`` of a selection at band-edge index ``k``; None if unbanded."""
+        banded = (k & 1).astype(bool)
+        if not banded.any():
+            return None
+        b = np.flatnonzero(banded)
+        f = np.flatnonzero(~banded)
+        bi = k[b] // 2
+        return b, f, self.blo[bi], self.bhi[bi], self.lap[np.ix_(b, b)], self.lap[np.ix_(b, f)]
 
     def selection(self, x: np.ndarray, k: np.ndarray):
         """Selection vector, sliding mask and fallback flag at ``x``.
 
         ``k`` is the band-edge index of ``x``: component i is banded iff
-        ``k[i]`` is odd, and its jump is ``k[i] // 2``.
+        ``k[i]`` is odd, and its jump is ``k[i] // 2``. The index arrays,
+        jump limits and Laplacian blocks depend on ``k`` alone and are kept
+        for the last ``k`` seen; one stepper serves one segment, so a run of
+        banded steps at one (segment, ``k``) builds them once. The banded
+        block is rank-deficient when ``lstsq`` returns a short rank for it;
+        later selections at the same ``k`` then take the midpoint fallback
+        without solving again.
         """
-        banded = (k & 1).astype(bool)
+        key = k.tobytes()
+        if key != self._banded_key:
+            self._banded_key, self._banded, self._deficient = key, self._banded_set(k), False
         gamma = self.g.values(x)
         sliding = np.zeros(len(x), dtype=bool)
         fallback = False
-        if banded.any():
-            b = np.flatnonzero(banded)
-            f = np.flatnonzero(~banded)
-            bi = k[b] // 2
-            lo, hi = self.blo[bi], self.bhi[bi]
-            lbb = self.lap[np.ix_(b, b)]
-            rhs = -(self.lap[np.ix_(b, f)] @ gamma[f]) if f.size else np.zeros(len(b))
-            sol, _, rank, _ = np.linalg.lstsq(lbb, rhs, rcond=None)
-            if rank < len(b):
+        if self._banded is not None:
+            b, f, lo, hi, lbb, lbf = self._banded
+            if not self._deficient:
+                rhs = -(lbf @ gamma[f]) if f.size else np.zeros(len(b))
+                sol, _, rank, _ = np.linalg.lstsq(lbb, rhs, rcond=None)
+                self._deficient = rank < len(b)
+            if self._deficient:
                 sol = 0.5 * (lo + hi)
                 fallback = True
             sol = np.clip(sol, lo, hi)
@@ -221,16 +247,16 @@ class _Stepper:
             sliding[b] = (sol > lo) & (sol < hi)
         return gamma, sliding, fallback
 
-    def advance(self, x: np.ndarray, t: float, dt_cap: float):
+    def advance(self, x: np.ndarray, k: np.ndarray, t: float, dt_cap: float):
+        """One step from ``x``, whose band-edge index is ``k``."""
         # overflow is handled by the explicit finiteness checks below
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._advance(x, t, dt_cap)
+            return self._advance(x, k, t, dt_cap)
 
-    def _advance(self, x: np.ndarray, t: float, dt_cap: float):
+    def _advance(self, x: np.ndarray, k: np.ndarray, t: float, dt_cap: float):
         dt = min(self.opts.dt, dt_cap)
         if dt <= 0:
             raise ValueError("step size collapsed to zero")
-        k = self.edges.searchsorted(x, side="right")
         in_band = k & 1
         if np.count_nonzero(in_band):
             gamma, sliding, fallback = self.selection(x, k)
@@ -262,9 +288,11 @@ class _Stepper:
             x_new = x + dt * v
         return x_new, dt
 
-    def free_flight(self, x: np.ndarray, t: float, t_end: float, tiny: float,
+    def free_flight(self, x: np.ndarray, k0: np.ndarray, t: float, t_end: float, tiny: float,
                     consensus_tol: float | None):
         """A block of free steps from ``x``, bit for bit the ones ``advance`` takes.
+
+        ``k0`` is the band-edge index of ``x``.
 
         Returns the times and states of the block, start included, and each
         component's piece slope and intercept; None when no step can be taken
@@ -273,10 +301,7 @@ class _Stepper:
         ``consensus_tol`` (None: not looked for) or is an exact fixed point.
         """
         g = self.g
-        if not g._all_affine:
-            return None
-        k0 = self.edges.searchsorted(x, side="right")
-        if np.count_nonzero(k0 & 1):
+        if not g._all_affine or np.count_nonzero(k0 & 1):
             return None
         dt = self.opts.dt
         n = len(x)
@@ -346,7 +371,8 @@ def step(state: State, lap: np.ndarray, g: ClassAFunction, opts: SimOptions,
     stepper = _Stepper(lap, validated(g), opts)
     x = np.asarray(state.x, dtype=float)
     cap = dt_limit if dt_limit is not None else opts.dt
-    x_new, t_new, gamma, sliding, dt, fb = stepper.advance(x.copy(), state.t, cap)
+    k = stepper.edges.searchsorted(x, side="right")
+    x_new, t_new, gamma, sliding, dt, fb = stepper.advance(x.copy(), k, state.t, cap)
     return StepResult(
         state=State(t_new, x_new),
         gamma=gamma,
@@ -391,15 +417,16 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
     tiny = 1e-12 * max(1.0, opts.t_max)
     for lap, t_end in segments:
         stepper = _Stepper(lap, g, opts)
-        v_start = float(x.max() - x.min())
+        v_start = _spread(x)
         while True:
             if t >= t_end - tiny:
                 t = t_end
-            if time_to_tol is None and x.max() - x.min() < opts.consensus_tol:
+            if time_to_tol is None and _spread(x) < opts.consensus_tol:
                 time_to_tol = t
             if t == t_end or (stop_at_consensus and time_to_tol is not None):
                 break
-            block = stepper.free_flight(x, t, t_end, tiny,
+            k = stepper.edges.searchsorted(x, side="right")
+            block = stepper.free_flight(x, k, t, t_end, tiny,
                                         opts.consensus_tol if time_to_tol is None else None)
             if block is not None:
                 times, states, s, c = block
@@ -408,7 +435,7 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
                 free_flight_steps += len(times) - 1
                 t, x = float(times[-1]), states[-1].copy()
                 continue
-            x_new, t_new, gamma, sliding, dt, fb = stepper.advance(x, t, t_end - t)
+            x_new, t_new, gamma, sliding, dt, fb = stepper.advance(x, k, t, t_end - t)
             rec.maybe_add(t, x, gamma, sliding)
             steps += 1
             fallback_steps += fb
@@ -425,7 +452,7 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
                     fallback_steps += fb
                 continue
             x, t = x_new, t_new
-        taken.append((v_start, float(x.max() - x.min()), t))
+        taken.append((v_start, _spread(x), t))
         if stop_at_consensus and time_to_tol is not None:
             break
     if not taken:
@@ -437,7 +464,7 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
     summary = RunSummary(
         consensus_reached=time_to_tol is not None,
         time_to_tol=time_to_tol,
-        final_disagreement=float(x.max() - x.min()),
+        final_disagreement=_spread(x),
         steps=steps,
         fallback_steps=fallback_steps,
         fixed_point_steps=fixed_point_steps,

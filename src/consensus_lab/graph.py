@@ -192,15 +192,8 @@ def wra(x: np.ndarray, g: WeightedDigraph) -> float:
 _ETA_BLOCK_ELEMENTS = 128**3  # one block up to n = 128 (16 MB of float64)
 
 
-def scrambling_coefficient(m: np.ndarray) -> float:
-    """Scrambling coefficient of a Metzler matrix.
-
-    For each unordered vertex pair (i, j) the coupling margin is
-    ``m_ij + m_ji + sum_k min(m_ik, m_jk)`` over k != i, j; the coefficient
-    is the minimum margin over all pairs. The matrix is scrambling iff the
-    coefficient is positive: every pair is either directly linked or shares
-    an in-neighbor. Diagonal entries are ignored.
-    """
+def _off_diagonal(m: np.ndarray) -> np.ndarray:
+    """Copy of a Metzler matrix with its diagonal zeroed, after validation."""
     m = np.asarray(m, dtype=float)
     n = m.shape[0]
     if m.shape != (n, n):
@@ -209,8 +202,44 @@ def scrambling_coefficient(m: np.ndarray) -> float:
         raise ValueError("scrambling coefficient needs at least two vertices")
     off = m.copy()
     np.fill_diagonal(off, 0.0)
+    if np.isnan(off).any():
+        raise ValueError("matrix has a NaN off-diagonal entry")
     if (off < 0).any():
         raise ValueError("matrix is not Metzler: negative off-diagonal entry")
+    return off
+
+
+def _covers_every_pair(off: np.ndarray) -> bool:
+    """Whether every pair of ``off`` (zero diagonal) is linked or shares an in-neighbor.
+
+    Entry (i, j) of ``A @ A.T + A + A.T``, with A the 0/1 pattern of ``off``,
+    counts the shared in-neighbors and direct links of i and j; the 0/1
+    products count exactly in float64.
+    """
+    a = (off > 0).astype(float)
+    cover = a @ a.T + a + a.T
+    np.fill_diagonal(cover, 1.0)
+    return bool(cover.all())
+
+
+def scrambling_coefficient(m: np.ndarray) -> float:
+    """Scrambling coefficient of a Metzler matrix.
+
+    For each unordered vertex pair (i, j) the coupling margin is
+    ``m_ij + m_ji + sum_k min(m_ik, m_jk)`` over k != i, j; the coefficient
+    is the minimum margin over all pairs. The matrix is scrambling iff the
+    coefficient is positive: every pair is either directly linked or shares
+    an in-neighbor. Diagonal entries are ignored; a NaN off the diagonal is
+    rejected, an infinite entry is not.
+
+    A margin is a sum of nonnegative terms, so it is exactly 0 when no term
+    is positive. A matrix with such an uncovered pair therefore returns 0.0
+    from an O(n^2)-memory coverage test, before the dense sum over k.
+    """
+    off = _off_diagonal(m)
+    if not _covers_every_pair(off):
+        return 0.0
+    n = off.shape[0]
     # With the diagonal zeroed, the k = i, j terms contribute min(0, .) = 0,
     # so the full k-sum equals the k != i, j sum. Rows go in blocks so the
     # rows x n x n temporary stays within _ETA_BLOCK_ELEMENTS.
@@ -232,8 +261,11 @@ def delta_graph(g: WeightedDigraph, delta: float) -> WeightedDigraph:
 
 
 def is_delta_scrambling(g: WeightedDigraph, delta: float) -> bool:
-    """Whether the delta-graph is scrambling; implies eta-hat(-L(g)) >= delta."""
-    return scrambling_coefficient(delta_graph(g, delta).weights) > 0
+    """Whether the delta-graph is scrambling; implies eta-hat(-L(g)) >= delta.
+
+    Decided by the coverage test alone: no margin needs its value.
+    """
+    return _covers_every_pair(_off_diagonal(delta_graph(g, delta).weights))
 
 
 def read_edge_list(path: str | Path) -> WeightedDigraph:

@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the library's computation paths: root sets
 come from per-vertex BFS reachability, the scrambling coefficient from a
-direct triple loop, and integrals from quadrature over hand-coded branches.
+direct triple loop (and, for bit-for-bit checks, the dense formula without
+the coverage screen), and integrals from quadrature over hand-coded branches.
 """
 
 import itertools
@@ -44,6 +45,20 @@ def eta_oracle(m: np.ndarray) -> float:
                     term += min(m[i, k], m[j, k])
             best = min(best, term)
     return float(best)
+
+
+def eta_dense(m: np.ndarray) -> float:
+    """The scrambling coefficient by the dense formula with no coverage screen.
+
+    The library's formula before it skipped matrices with an uncovered pair:
+    ``min(m_ik, m_jk)`` summed over all k in one n x n x n temporary, so keep
+    n to a few dozen. Its result is compared bit for bit.
+    """
+    off = np.asarray(m, dtype=float).copy()
+    np.fill_diagonal(off, 0.0)
+    shared = np.minimum(off[:, None, :], off[None, :, :]).sum(axis=2)
+    margins = off + off.T + shared
+    return float(margins[np.triu_indices(len(off), k=1)].min())
 
 
 def blinking_exact(model, max_free_links=14) -> tuple[float, float]:

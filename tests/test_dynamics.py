@@ -21,6 +21,7 @@ from consensus_lab.protocol import AffinePiece, CallablePiece, ClassAFunction, i
 from consensus_lab.switching import (
     BlinkingModel,
     ConstantDuration,
+    UniformDuration,
     process_for_blinking,
     process_for_graph,
     sample_schedule,
@@ -514,3 +515,75 @@ def test_free_flight_hands_overflow_to_the_stepper(monkeypatch):
         stepwise_reference([(lap, opts.t_max)], identity(), x0, opts)
     assert str(err.value) == str(ref.value)
     assert sum(len(b) - 1 for b in blocks) > 200
+
+
+def test_spread_past_the_float_range(two_node):
+    # x <- -19 x per step: the spread leaves the float range one step before a state does
+    with pytest.raises(IntegrationError):
+        simulate_fixed(two_node, identity(), np.array([-1.0, 1.0]), SimOptions(dt=10.0, t_max=1e5))
+    # no edges: finite states whose spread is inf from the start
+    run = simulate_fixed(WeightedDigraph(2, np.zeros((2, 2))), identity(), np.array([-1e308, 1e308]),
+                         SimOptions(dt=0.5, t_max=2.0))
+    assert run.summary.final_disagreement == np.inf and (run.trajectory.spread == np.inf).all()
+
+
+def _selection_spy(monkeypatch):
+    """Band-edge indices of every banded selection, and of every rebuild of its cached structure."""
+    selections, rebuilds = [], []
+    selection, banded_set = dynamics._Stepper.selection, dynamics._Stepper._banded_set
+
+    def selection_spy(self, x, k):
+        if (k & 1).any():
+            selections.append(k.copy())
+        return selection(self, x, k)
+
+    def banded_set_spy(self, k):
+        rebuilds.append(k.copy())
+        return banded_set(self, k)
+
+    monkeypatch.setattr(dynamics._Stepper, "selection", selection_spy)
+    monkeypatch.setattr(dynamics._Stepper, "_banded_set", banded_set_spy)
+    return selections, rebuilds
+
+
+def test_selection_cache_matches_stepwise_through_fallbacks(monkeypatch, uj):
+    # no ring backbone: a banded node without in-links makes its block rank-deficient
+    proc = process_for_blinking(BlinkingModel(n=8, K=0, p=0.2, w=1.0), UniformDuration(0.0, 1.0))
+    x0 = np.random.default_rng(3).uniform(-1, 1, 8)
+    opts = SimOptions(dt=1e-2, t_max=5.0, consensus_tol=1e-3)
+    selections, rebuilds = _selection_spy(monkeypatch)
+    run = simulate_switching(proc, uj, x0, opts, seed=3)
+    n_selections, n_rebuilds = len(selections), len(rebuilds)  # before the reference adds its own
+    s = run.summary
+    assert s.fallback_steps - s.fixed_point_steps > 100  # midpoints taken by stepping, not by replay
+    schedule = sample_schedule(proc, opts.t_max, 3)[:s.n_intervals]
+    assert_matches_stepwise(run, [(iv.lap, iv.t_end) for iv in schedule], uj, x0, opts)
+    assert n_rebuilds < n_selections // 5
+
+
+def test_selection_cache_tells_jumps_apart(monkeypatch):
+    # node 0 follows the source node 1 at 3 from the band of the jump at 0 into the
+    # band of the jump at 1: its banded set stays {0} while its jump changes
+    lap = np.array([[1.0, -1.0], [0.0, 0.0]])
+    g, x0 = _two_jump_function(), np.array([0.0, 3.0])
+    opts = SimOptions(dt=0.250125, band=1e-3, t_max=5.0)
+    selections, rebuilds = _selection_spy(monkeypatch)
+    run = simulate_fixed(WeightedDigraph.from_laplacian(lap), g, x0, opts)
+    assert [k.tolist() for k in selections] == [[1, 4], [3, 4]]
+    assert [k.tolist() for k in rebuilds[:2]] == [[1, 4], [3, 4]]
+    assert_matches_stepwise(run, [(lap, opts.t_max)], g, x0, opts)
+
+
+def test_selection_cache_decides_rank_per_banded_set(uj):
+    # Within a run a rank-deficient set stays pinned at its jumps, so every later
+    # set holds it and is deficient too; called directly, a stepper must still
+    # decide the rank of each set on its own, as a fresh one does.
+    stepper = dynamics._Stepper(L2, uj, SimOptions())
+    both, alone = np.array([0.0, 0.0]), np.array([0.0, 1.0])  # blocks L2 (singular) and [1]
+    for x in (both, alone, both, alone):
+        k = stepper.edges.searchsorted(x, side="right")
+        got = stepper.selection(x, k)
+        want = dynamics._Stepper(L2, uj, SimOptions()).selection(x, k)
+        assert got[2] == want[2] == (x is both)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])

@@ -19,7 +19,15 @@ from consensus_lab import (
     wra,
     write_edge_list,
 )
-from helpers import brute_force_root_set, eta_oracle, random_digraph, random_metzler, random_strongly_connected
+from consensus_lab.graph import delta_graph
+from helpers import (
+    brute_force_root_set,
+    eta_dense,
+    eta_oracle,
+    random_digraph,
+    random_metzler,
+    random_strongly_connected,
+)
 
 FIG1_L = np.array([
     [1, -1, 0, 0],
@@ -208,18 +216,47 @@ def test_eta_matches_oracle_random():
         m = random_metzler(rng, int(rng.integers(2, 9)))
         assert scrambling_coefficient(m) == pytest.approx(eta_oracle(m), abs=1e-12)
     m = random_metzler(rng, 150)  # more rows than one block holds
-    assert scrambling_coefficient(m) == pytest.approx(eta_oracle(m), abs=1e-12)
+    eta = scrambling_coefficient(m)
+    assert eta > 0  # scrambling, so the blocked dense sum ran
+    assert eta == pytest.approx(eta_oracle(m), abs=1e-12)
 
 
 def test_eta_memory_stays_quadratic():
     m = random_metzler(np.random.default_rng(11), 300)
     tracemalloc.start()
     try:
-        scrambling_coefficient(m)
+        eta = scrambling_coefficient(m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert eta > 0  # scrambling, so the blocked dense sum ran
     assert peak < 40e6, f"peak {peak / 1e6:.0f} MB; an n x n x n temporary takes over 200 MB"
+
+
+def test_eta_matches_dense_formula_bitwise():
+    # densities from sparse to full, so about half the matrices scramble and
+    # the rest return 0.0 from the coverage test
+    rng = np.random.default_rng(12)
+    scrambling = 0
+    for _ in range(2000):
+        n = int(rng.integers(2, 41))
+        m = random_metzler(rng, n, density=float(rng.uniform(0.05, 0.95)))
+        eta = scrambling_coefficient(m)
+        assert np.float64(eta).tobytes() == np.float64(eta_dense(m)).tobytes(), (n, eta)
+        scrambling += eta > 0
+    assert 600 < scrambling < 1400
+
+
+def test_eta_rejects_nan_and_takes_inf():
+    m = np.zeros((3, 3))
+    m[0, 1] = np.nan  # the only link of pair (0, 1): a coverage test alone reads it as no link
+    with pytest.raises(ValueError, match="NaN"):
+        scrambling_coefficient(m)
+    m[0, 1] = np.inf
+    assert scrambling_coefficient(m) == eta_dense(m) == 0.0  # pairs (0, 2) and (1, 2) are uncovered
+    m[1, 2] = m[2, 0] = 1.0
+    m[np.diag_indices(3)] = np.nan  # the diagonal is ignored
+    assert scrambling_coefficient(m) == eta_dense(m) == 1.0
 
 
 def test_eta_diagonal_invariance():
@@ -260,6 +297,21 @@ def test_delta_scrambling_implies_eta_bound():
         delta = float(rng.uniform(0.05, 1.5))
         if is_delta_scrambling(g, delta):
             assert scrambling_coefficient(-laplacian(g)) >= delta - 1e-12
+
+
+def test_delta_scrambling_is_positive_eta_of_the_delta_graph():
+    rng = np.random.default_rng(9)
+    verdicts = []
+    for _ in range(300):
+        n = int(rng.integers(2, 12))
+        g = random_digraph(rng, n, float(rng.uniform(0.2, 0.9)))
+        g = WeightedDigraph(n, g.weights * rng.uniform(0.05, 2.0, size=(n, n)))
+        delta = float(rng.uniform(0.05, 1.5))
+        kept = delta_graph(g, delta).weights
+        verdict = is_delta_scrambling(g, delta)
+        assert verdict == (scrambling_coefficient(kept) > 0) == (eta_dense(kept) > 0)
+        verdicts.append(verdict)
+    assert 50 < sum(verdicts) < 250
 
 
 @settings(max_examples=40)
