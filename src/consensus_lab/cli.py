@@ -217,7 +217,8 @@ def _graph_report(graph: WeightedDigraph, delta: float | None) -> dict:
         "scrambling": (eta > 0) if eta is not None else None,
     }
     if delta is not None:
-        report["delta_scrambling"] = {str(delta): is_delta_scrambling(graph, delta)}
+        verdict = is_delta_scrambling(graph, delta) if graph.n >= 2 else None
+        report["delta_scrambling"] = {str(delta): verdict}
     return report
 
 

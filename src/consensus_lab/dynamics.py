@@ -5,10 +5,12 @@ both decided once per step by one band test: a component lies in band k,
 ``[b_k - band, b_k + band]`` around jump abscissa ``b_k``, exactly when its
 band-edge index is 2k + 1.
 
-* selections: banded components get their coupling value from a linear solve
-  that zeroes their velocity (the sliding condition), clamped to their jump's
-  interval ``[g(b_k-), g(b_k+)]``; strictly interior solutions mean the
-  component slides and its state is pinned to ``b_k``,
+* selections: banded components get the coupling value that zeroes their
+  velocity (the sliding condition), ``gamma_b = K @ gamma_f`` with the
+  operator ``K = -solve(L_bb, L_bf)`` built once per banded set, clamped to
+  their jump's interval ``[g(b_k-), g(b_k+)]``; strictly interior values mean
+  the component slides and its state is pinned to ``b_k``. A rank-deficient
+  ``L_bb`` has no operator and takes the jump midpoints (the fallback),
 * event capping: the step size is shortened so that no component can cross
   a jump band in a single step without landing inside it.
 
@@ -20,14 +22,18 @@ constant Laplacian: a switching schedule is a sequence of them, a fixed
 topology a single one. Once a full-length step returns its input bit for
 bit, the rest of the segment replays only the time grid.
 
-Free-flight blocks: while no component is banded and every piece of g is
-affine, a step is the affine map ``x - dt * (L @ (s*x + c))`` with each
-component's piece slope ``s`` and intercept ``c``. The loop then takes a run
-of such steps in one tight loop and keeps them up to the first state that
-changes its band-edge or piece index, leaves the state space, reaches the
-consensus tolerance or is an exact fixed point; the normal step takes over
-from there. The kept states are bit for bit those of single steps, and the
-summary counts them in ``free_flight_steps``.
+Flight blocks: while every piece of g is affine and every banded component
+is already pinned on its abscissa, a step is one affine map: ``gamma = s*x +
+c`` with each component's piece slope ``s`` and intercept ``c``, the banded
+entries replaced by ``K @ gamma_f`` (or the midpoints), then ``x_f -= dt *
+(L @ gamma)_f``. The loop takes a run of such steps in one tight loop and
+keeps them up to the first state that changes its band-edge or piece index,
+leaves the state space, reaches the consensus tolerance or is an exact fixed
+point, and up to the first banded selection that is not strictly inside its
+jump interval; the normal step takes over from there. The kept states are
+bit for bit those of single steps. With no banded component this is free
+flight, counted in ``free_flight_steps``; otherwise sliding flight, counted
+in ``sliding_flight_steps``.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from .graph import (
 )
 from .protocol import ClassAFunction, validated
 
-# Free-flight block length in steps: it halves after a block that was cut and
+# Flight block length in steps: it halves after a block that was cut and
 # doubles after one that ran to its end, within these limits. The state rows
 # of one block hold at most _BLOCK_ELEMENTS floats (32 KiB). A block is cut
 # only after it is computed, so a longer one wastes more steps at its cut.
@@ -130,11 +136,10 @@ class Trajectory:
         if idx[-1] != len(self.t) - 1:
             idx.append(len(self.t) - 1)
         lines = ["t," + ",".join(f"x_{i}" for i in range(self.n)) + ",V"]
-        for k in idx:
-            row = [repr(float(self.t[k]))]
-            row += [repr(float(v)) for v in self.x[k]]
-            row.append(repr(float(self.spread[k])))
-            lines.append(",".join(row))
+        # tolist() gives Python floats, whose repr is the shortest round-trip form;
+        # one row at a time: boxing all rows at once raises a run's peak memory
+        lines += [",".join(map(repr, [float(self.t[k]), *self.x[k].tolist(), float(self.spread[k])]))
+                  for k in idx]
         Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -158,14 +163,24 @@ class _Recorder:
         self.gamma.append(gamma.copy())
         self.sliding.append(sliding.copy())
 
-    def maybe_add_free(self, t: np.ndarray, x: np.ndarray, s: np.ndarray, c: np.ndarray) -> None:
-        """``maybe_add`` for each row of a free-flight block: selection s*x + c, none sliding."""
+    def maybe_add_block(self, t: np.ndarray, x: np.ndarray, s: np.ndarray, c: np.ndarray,
+                        bs: _BandedSet | None, gb) -> None:
+        """``maybe_add`` for each row of a flight block.
+
+        The selection is s*x + c, except for the components of ``bs``, which
+        slide with the selection ``gb`` (one row per step).
+        """
         keep = slice((-self._count) % self.stride, None, self.stride)
         rows = x[keep]
+        gamma = s * rows + c
+        sliding = np.zeros(rows.shape, dtype=bool)
+        if bs is not None:
+            gamma[:, bs.b] = gb[keep]
+            sliding[:, bs.b] = True
         self.t.extend(t[keep].tolist())
         self.x.extend(rows.copy())
-        self.gamma.extend(s * rows + c)
-        self.sliding.extend(np.zeros(rows.shape, dtype=bool))
+        self.gamma.extend(gamma)
+        self.sliding.extend(sliding)
         self._count += len(t)
 
     def build(self, meta: dict) -> Trajectory:
@@ -182,6 +197,18 @@ class _Recorder:
         )
 
 
+class _BandedSet(NamedTuple):
+    """The selection structure of one band-edge index with banded components."""
+
+    b: np.ndarray  # the banded components
+    f: np.ndarray  # the other indices
+    lo: np.ndarray  # g(b_k-) of each banded component's jump
+    hi: np.ndarray  # g(b_k+)
+    xb: np.ndarray  # the jump abscissas, where a sliding component is pinned
+    mid: np.ndarray  # the midpoint fallback selection
+    op: np.ndarray | None  # K = -solve(L_bb, L_bf); None when L_bb is rank-deficient
+
+
 class _Stepper:
     """Precomputed arrays for repeated stepping with one Laplacian."""
 
@@ -189,7 +216,9 @@ class _Stepper:
         self.lap = np.ascontiguousarray(lap, dtype=float)
         self.g = g
         self.opts = opts
-        self.bxs = g.breakpoint_xs
+        # + 0.0 turns a -0.0 abscissa into 0.0, so that a pinned component minus
+        # a zero velocity (of either sign) keeps its bits in a flight block
+        self.bxs = g.breakpoint_xs + 0.0
         self.blo = g.breakpoint_left
         self.bhi = g.breakpoint_right
         # Band k is [b_k - band, b_k + band]; searchsorted(edges, x, side="right")
@@ -199,52 +228,58 @@ class _Stepper:
         if edges != sorted(edges):
             raise ValueError("jump bands overlap: breakpoints must be more than 2*band apart")
         self.edges = np.array(edges)
-        self._block_len = _BLOCK_MIN_STEPS  # steps the next free-flight block tries
+        self._block_len = _BLOCK_MIN_STEPS  # steps the next flight block tries
         self._block = None  # its state rows, allocated at the first block
-        # the last selection's k.tobytes(), its _banded_set and whether L_bb is rank-deficient
-        self._banded_key = self._banded = None
-        self._deficient = False
+        self._banded_key = self._banded = None  # the last k.tobytes() and its _banded_set
 
-    def _banded_set(self, k: np.ndarray):
-        """``b, f, lo, hi, L_bb, L_bf`` of a selection at band-edge index ``k``; None if unbanded."""
+    def _banded_set(self, k: np.ndarray) -> _BandedSet | None:
+        """The selection structure at band-edge index ``k``; None if no component is banded.
+
+        The rank verdict is ``matrix_rank(L_bb)``: singular values up to
+        ``eps * max(shape)`` times the largest count as zero, numpy's
+        least-squares cutoff.
+        """
         banded = (k & 1).astype(bool)
         if not banded.any():
             return None
         b = np.flatnonzero(banded)
         f = np.flatnonzero(~banded)
         bi = k[b] // 2
-        return b, f, self.blo[bi], self.bhi[bi], self.lap[np.ix_(b, b)], self.lap[np.ix_(b, f)]
+        lo, hi = self.blo[bi], self.bhi[bi]
+        lbb = self.lap[np.ix_(b, b)]
+        op = None
+        if np.linalg.matrix_rank(lbb) == len(b):
+            op = -np.linalg.solve(lbb, self.lap[np.ix_(b, f)])
+        return _BandedSet(b, f, lo, hi, self.bxs[bi], 0.5 * (lo + hi), op)
+
+    def _banded_for(self, k: np.ndarray) -> _BandedSet | None:
+        """``_banded_set(k)``, kept for the last ``k`` seen.
+
+        One stepper serves one segment, so a run of banded steps at one
+        (segment, ``k``) builds it once.
+        """
+        key = k.tobytes()
+        if key != self._banded_key:
+            self._banded_key, self._banded = key, self._banded_set(k)
+        return self._banded
 
     def selection(self, x: np.ndarray, k: np.ndarray):
         """Selection vector, sliding mask and fallback flag at ``x``.
 
         ``k`` is the band-edge index of ``x``: component i is banded iff
-        ``k[i]`` is odd, and its jump is ``k[i] // 2``. The index arrays,
-        jump limits and Laplacian blocks depend on ``k`` alone and are kept
-        for the last ``k`` seen; one stepper serves one segment, so a run of
-        banded steps at one (segment, ``k``) builds them once. The banded
-        block is rank-deficient when ``lstsq`` returns a short rank for it;
-        later selections at the same ``k`` then take the midpoint fallback
-        without solving again.
+        ``k[i]`` is odd, and its jump is ``k[i] // 2``. Banded components take
+        ``clip(K @ gamma_f, lo, hi)`` from their set's operator, or the jump
+        midpoints (the fallback) when their Laplacian block is rank-deficient;
+        those strictly inside their jump interval slide.
         """
-        key = k.tobytes()
-        if key != self._banded_key:
-            self._banded_key, self._banded, self._deficient = key, self._banded_set(k), False
+        bs = self._banded_for(k)
         gamma = self.g.values(x)
         sliding = np.zeros(len(x), dtype=bool)
-        fallback = False
-        if self._banded is not None:
-            b, f, lo, hi, lbb, lbf = self._banded
-            if not self._deficient:
-                rhs = -(lbf @ gamma[f]) if f.size else np.zeros(len(b))
-                sol, _, rank, _ = np.linalg.lstsq(lbb, rhs, rcond=None)
-                self._deficient = rank < len(b)
-            if self._deficient:
-                sol = 0.5 * (lo + hi)
-                fallback = True
-            sol = np.clip(sol, lo, hi)
-            gamma[b] = sol
-            sliding[b] = (sol > lo) & (sol < hi)
+        fallback = bs is not None and bs.op is None
+        if bs is not None:
+            sol = bs.mid if fallback else np.clip(bs.op @ gamma[bs.f], bs.lo, bs.hi)
+            gamma[bs.b] = sol
+            sliding[bs.b] = (sol > bs.lo) & (sol < bs.hi)
         return gamma, sliding, fallback
 
     def advance(self, x: np.ndarray, k: np.ndarray, t: float, dt_cap: float):
@@ -288,21 +323,33 @@ class _Stepper:
             x_new = x + dt * v
         return x_new, dt
 
-    def free_flight(self, x: np.ndarray, k0: np.ndarray, t: float, t_end: float, tiny: float,
-                    consensus_tol: float | None):
-        """A block of free steps from ``x``, bit for bit the ones ``advance`` takes.
+    def flight(self, x: np.ndarray, k0: np.ndarray, t: float, t_end: float, tiny: float,
+               consensus_tol: float | None):
+        """A block of affine-map steps from ``x``, bit for bit the ones ``advance`` takes.
 
-        ``k0`` is the band-edge index of ``x``.
+        ``k0`` is the band-edge index of ``x``. Each step is ``gamma = s*x + c``
+        with the piece slopes and intercepts of ``x``, the banded entries
+        replaced by ``K @ gamma_f`` (or the midpoints of a rank-deficient set),
+        then ``x_f -= dt * (L @ gamma)_f``; banded components stay pinned. The
+        free case is the empty banded set.
 
-        Returns the times and states of the block, start included, and each
-        component's piece slope and intercept; None when no step can be taken
-        this way. The block ends before a step of less than full length or one
-        from within ``tiny`` of ``t_end``, and at the first state that reaches
-        ``consensus_tol`` (None: not looked for) or is an exact fixed point.
+        Returns the times and states of the block, start included, each
+        component's piece slope and intercept, the banded set (None: free
+        flight) and the banded selection of each step; None when no step can
+        be taken this way: g has a non-affine piece, or a banded component is
+        not yet pinned on its abscissa. The block ends before a step of less
+        than full length or one from within ``tiny`` of ``t_end``, before the
+        first step whose banded selection is not strictly inside its jump
+        interval, and at the first state that changes its band-edge or piece
+        index, is not finite, reaches ``consensus_tol`` (None: not looked for)
+        or is an exact fixed point.
         """
         g = self.g
-        if not g._all_affine or np.count_nonzero(k0 & 1):
+        if not g._all_affine:
             return None
+        bs = self._banded_for(k0) if np.count_nonzero(k0 & 1) else None
+        if bs is not None and x[bs.b].tobytes() != bs.xb.tobytes():
+            return None  # ``advance`` pins them first
         dt = self.opts.dt
         n = len(x)
         length = self._block_len
@@ -321,6 +368,11 @@ class _Stepper:
         # the piece index, not k0 // 2: a continuity junction splits a band gap
         p0 = g._junctions.searchsorted(x, side="left")
         s, c = g._slopes[p0], g._intercepts[p0]
+        w = np.full(n, dt)  # dt for free components, 0 for pinned ones
+        if bs is not None:
+            w[bs.b] = 0.0
+            b, f, op = bs.b, bs.f, bs.op
+        gbs = []  # the banded selection of each step
         rows[0][:] = x
         e = m
         with np.errstate(over="ignore", invalid="ignore"):
@@ -329,8 +381,12 @@ class _Stepper:
                 # x - dt*(L @ gamma) is x + dt*(-(L @ gamma)): negation is exact
                 np.multiply(s, rows[j], gamma)  # positional out: a keyword costs 10%
                 np.add(gamma, c, gamma)
+                if bs is not None:
+                    gb = bs.mid if op is None else op @ gamma[f]
+                    gamma[b] = gb
+                    gbs.append(gb)
                 np.matmul(lap, gamma, v)
-                np.multiply(v, dt, v)
+                np.multiply(v, w, v)
                 np.subtract(rows[j], v, rows[j + 1])
                 cur = rows[j + 1].tobytes()
                 if cur == prev:  # a fixed point: ``advance`` finds it and the loop replays
@@ -341,6 +397,9 @@ class _Stepper:
             stop = ((self.edges.searchsorted(new, side="right") != k0).any(axis=1)
                     | (g._junctions.searchsorted(new, side="left") != p0).any(axis=1)
                     | ~np.isfinite(new).all(axis=1))
+            if bs is not None:  # step j is not kept when its selection is clipped
+                gbs = np.reshape(gbs[:e], (e, len(b)))
+                stop |= ~((gbs > bs.lo) & (gbs < bs.hi)).all(axis=1)
             if stop.any():
                 e = int(stop.argmax())
             if consensus_tol is not None:
@@ -353,7 +412,7 @@ class _Stepper:
             self._block_len = min(2 * length, max(_BLOCK_MIN_STEPS, _BLOCK_ELEMENTS // n))
         if e == 0:
             return None
-        return times[:e + 1], self._block[:e + 1], s, c
+        return times[:e + 1], self._block[:e + 1], s, c, bs, gbs[:e]
 
 
 @dataclass(frozen=True)
@@ -392,7 +451,8 @@ class RunSummary:
     steps: int
     fallback_steps: int
     fixed_point_steps: int  # of ``steps``, replayed at an exact fixed point without stepping
-    free_flight_steps: int  # of ``steps``, taken inside free-flight blocks
+    free_flight_steps: int  # of ``steps``, taken inside flight blocks with no banded component
+    sliding_flight_steps: int  # of ``steps``, taken inside flight blocks with banded components
     options: SimOptions
 
 
@@ -412,7 +472,7 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
     rec = _Recorder(record_stride)
     taken: list[tuple[float, float, float]] = []
     t = 0.0
-    steps = fallback_steps = fixed_point_steps = free_flight_steps = 0
+    steps = fallback_steps = fixed_point_steps = free_flight_steps = sliding_flight_steps = 0
     time_to_tol: float | None = None
     tiny = 1e-12 * max(1.0, opts.t_max)
     for lap, t_end in segments:
@@ -426,13 +486,18 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
             if t == t_end or (stop_at_consensus and time_to_tol is not None):
                 break
             k = stepper.edges.searchsorted(x, side="right")
-            block = stepper.free_flight(x, k, t, t_end, tiny,
-                                        opts.consensus_tol if time_to_tol is None else None)
+            block = stepper.flight(x, k, t, t_end, tiny,
+                                   opts.consensus_tol if time_to_tol is None else None)
             if block is not None:
-                times, states, s, c = block
-                rec.maybe_add_free(times[:-1], states[:-1], s, c)
-                steps += len(times) - 1
-                free_flight_steps += len(times) - 1
+                times, states, s, c, bs, gb = block
+                block_steps = len(times) - 1
+                rec.maybe_add_block(times[:-1], states[:-1], s, c, bs, gb)
+                steps += block_steps
+                if bs is None:
+                    free_flight_steps += block_steps
+                else:
+                    sliding_flight_steps += block_steps
+                    fallback_steps += block_steps * (bs.op is None)
                 t, x = float(times[-1]), states[-1].copy()
                 continue
             x_new, t_new, gamma, sliding, dt, fb = stepper.advance(x, k, t, t_end - t)
@@ -469,6 +534,7 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
         fallback_steps=fallback_steps,
         fixed_point_steps=fixed_point_steps,
         free_flight_steps=free_flight_steps,
+        sliding_flight_steps=sliding_flight_steps,
         options=opts,
     )
     return rec.build(meta), taken, summary

@@ -219,3 +219,37 @@ def stepwise_reference(segments, g, x0, opts, stop_at_consensus=True):
             break
     record(t, x, step(State(t, x), lap, g, opts))  # only its selection is used
     return np.array(ts), np.array(xs), np.array(gammas), np.array(slidings), steps, fallbacks
+
+
+def check_sliding_velocity(traj, segments, abscissas, rtol=1e-12):
+    """Sliding components have zero Filippov velocity where their selection solved for it.
+
+    At every sample whose banded components all slide, ``|(L @ gamma)[sliding]|
+    <= rtol * ||L|| * ||gamma||`` (infinity norms), with the Laplacian of the
+    sample's segment. Banded means within ``band`` of an abscissa, tested
+    on the state as ``b - band <= x <= b + band``. Samples whose banded block
+    is rank-deficient take the midpoint fallback, which zeroes nothing, and
+    are skipped. Returns the number of samples checked.
+    """
+    band = traj.meta["band"]
+    tiny = 1e-12 * max(1.0, traj.meta["t_max"])
+    laps = [np.asarray(lap, dtype=float) for lap, _ in segments]
+    ends = np.array([t_end for _, t_end in segments])
+    which = np.minimum(np.searchsorted(ends - tiny, traj.t, side="right"), len(laps) - 1)
+    b = np.asarray(abscissas, dtype=float)
+    banded = ((traj.x[:, :, None] >= b - band) & (traj.x[:, :, None] <= b + band)).any(axis=2)
+    checked = 0
+    for i in np.flatnonzero(traj.sliding.any(axis=1)):
+        sliding = traj.sliding[i]
+        if not (sliding == banded[i]).all():
+            continue  # a clamped banded component: the others' equations do not hold
+        lap, gamma = laps[which[i]], traj.gamma[i]
+        block = lap[np.ix_(sliding, sliding)]
+        s = np.linalg.svd(block, compute_uv=False)
+        if (s > np.finfo(float).eps * len(block) * s.max()).sum() < len(block):
+            continue
+        residual = np.abs(lap @ gamma)[sliding].max()
+        bound = rtol * np.abs(lap).sum(axis=1).max() * np.abs(gamma).max()
+        assert residual <= bound, f"sample {i}: sliding velocity {residual} > {bound}"
+        checked += 1
+    return checked

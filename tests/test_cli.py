@@ -36,6 +36,19 @@ def test_analyze_fig1(bundle, tmp_path):
     assert (out / "graph.edges").exists()
 
 
+def test_analyze_one_vertex_with_delta(tmp_path):
+    # neither eta nor delta-scrambling is defined for one vertex: both report None
+    (tmp_path / "one.edges").write_text("n 1\n")
+    cfg_path = tmp_path / "one.json"
+    cfg_path.write_text(json.dumps({"mode": "analyze", "graph": {"edge_list": "one.edges"},
+                                    "delta": 0.5}))
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == 0
+    report = read_summary(out)["graph"]
+    assert report["eta_hat"] is None and report["delta_scrambling"] == {"0.5": None}
+    assert report["has_spanning_tree"] is True and report["s1"] == [0]
+
+
 def test_fixed_double_star(bundle, tmp_path):
     out = tmp_path / "out"
     code = main(["fixed", "--config", str(bundle / "double-star.json"), "--out", str(out)])

@@ -16,7 +16,8 @@ from consensus_lab import (
     unit_jump,
 )
 from consensus_lab import dynamics
-from consensus_lab.bundled import double_star_graph, fig4_graph
+from consensus_lab.bundled import double_star_graph, fig4_graph, write_bundled
+from consensus_lab.cli import load_config, run as cli_run
 from consensus_lab.protocol import AffinePiece, CallablePiece, ClassAFunction, identity
 from consensus_lab.switching import (
     BlinkingModel,
@@ -31,6 +32,7 @@ from helpers import (
     adversarial_x0,
     check_selection_validity,
     check_shrinking,
+    check_sliding_velocity,
     check_wra_conservation,
     random_strongly_connected,
     stepwise_reference,
@@ -209,6 +211,26 @@ def test_trajectory_csv_format(tmp_path, two_node, uj):
     # final sample is always present
     last = [float(v) for v in lines[-1].split(",")]
     assert last[0] == pytest.approx(run.trajectory.t[-1])
+
+
+def test_trajectory_csv_matches_per_element_repr(tmp_path):
+    # the row formatter must print each float as repr(float(v)) does
+    specials = [0.0, -0.0, np.inf, -np.inf, 5e-324, -2.2250738585072e-308, 0.1 + 0.2,
+                1 / 3, -123456789.12345678, 1e16, 2.0**-1074 * 3, 9007199254740993.0]
+    rng = np.random.default_rng(8)
+    wide = rng.normal(size=(7, 2)) * 10.0 ** rng.integers(-300, 300, (7, 2))  # 17-digit floats
+    x = np.concatenate([np.array(specials).reshape(-1, 2), wide])
+    t = np.arange(len(x)) * 0.1
+    traj = dynamics.Trajectory(t=t, x=x, gamma=x.copy(), sliding=np.zeros(x.shape, dtype=bool),
+                               spread=x.max(axis=1) - x.min(axis=1))
+    for stride in (1, 3):
+        path = tmp_path / f"traj{stride}.csv"
+        traj.to_csv(path, stride=stride)
+        idx = list(range(0, len(t), stride))
+        idx += [len(t) - 1] if idx[-1] != len(t) - 1 else []
+        lines = ["t,x_0,x_1,V"] + [",".join(repr(float(v)) for v in (t[k], *x[k], traj.spread[k]))
+                                   for k in idx]
+        assert path.read_text() == "\n".join(lines) + "\n"
 
 
 def test_simulate_rejects_bad_x0(two_node, uj):
@@ -419,30 +441,38 @@ def _free_flight_case(name):
         SimOptions(dt=1e-2, t_max=30.0)
 
 
-def _block_times(monkeypatch):
-    """The time grid of every free-flight block the following runs take."""
+def _block_times(monkeypatch, sliding=False):
+    """The time grid of every free flight block the following runs take, or of every sliding one."""
     blocks = []
-    free_flight = dynamics._Stepper.free_flight
+    flight = dynamics._Stepper.flight
 
     def spy(self, *args):
-        block = free_flight(self, *args)
-        if block is not None:
+        block = flight(self, *args)
+        if block is not None and (block[4] is not None) == sliding:
             blocks.append(block[0].copy())
         return block
 
-    monkeypatch.setattr(dynamics._Stepper, "free_flight", spy)
+    monkeypatch.setattr(dynamics._Stepper, "flight", spy)
     return blocks
 
 
-def _cut_reasons(t, x, blocks, lap, g, opts):
-    """Why blocks ended, read off the reference states at and after each block's end."""
+def _cut_reasons(t, x, blocks, lap, g, opts, sliding=None):
+    """Why blocks ended, read off the reference states at and after each block's end.
+
+    ``sliding``, the reference's sliding masks, tells a clipped selection too.
+    """
     edges = dynamics._Stepper(lap, g, opts).edges
     reasons = set()
     for i in np.searchsorted(t, [b[-1] for b in blocks]):
         if x[i].max() - x[i].min() < opts.consensus_tol:
             reasons.add("consensus")
+        elif i == len(t) - 1:
+            reasons.add("end")
         elif x[i + 1].tobytes() == x[i].tobytes() != x[i - 1].tobytes():
             reasons.add("fixed point")
+        elif sliding is not None and \
+                (sliding[i] != (edges.searchsorted(x[i], side="right") & 1).astype(bool)).any():
+            reasons.add("clipped")
         elif (edges.searchsorted(x[i + 1], side="right") != edges.searchsorted(x[i], side="right")).any():
             reasons.add("band")
         elif (g._junctions.searchsorted(x[i + 1]) != g._junctions.searchsorted(x[i])).any():
@@ -551,14 +581,18 @@ def test_selection_cache_matches_stepwise_through_fallbacks(monkeypatch, uj):
     proc = process_for_blinking(BlinkingModel(n=8, K=0, p=0.2, w=1.0), UniformDuration(0.0, 1.0))
     x0 = np.random.default_rng(3).uniform(-1, 1, 8)
     opts = SimOptions(dt=1e-2, t_max=5.0, consensus_tol=1e-3)
-    selections, rebuilds = _selection_spy(monkeypatch)
+    _, rebuilds = _selection_spy(monkeypatch)
     run = simulate_switching(proc, uj, x0, opts, seed=3)
-    n_selections, n_rebuilds = len(selections), len(rebuilds)  # before the reference adds its own
+    n_rebuilds = len(rebuilds)  # before the reference adds its own
     s = run.summary
     assert s.fallback_steps - s.fixed_point_steps > 100  # midpoints taken by stepping, not by replay
+    assert s.sliding_flight_steps > 100  # most of them inside flight blocks, which skip ``selection``
     schedule = sample_schedule(proc, opts.t_max, 3)[:s.n_intervals]
     assert_matches_stepwise(run, [(iv.lap, iv.t_end) for iv in schedule], uj, x0, opts)
-    assert n_rebuilds < n_selections // 5
+    # banded steps taken by stepping (a replayed fixed point builds nothing): each
+    # has a sliding component here, since every fallback midpoint slides
+    banded_steps = int(run.trajectory.sliding[:-1].any(axis=1).sum()) - s.fixed_point_steps
+    assert n_rebuilds < banded_steps // 5
 
 
 def test_selection_cache_tells_jumps_apart(monkeypatch):
@@ -587,3 +621,115 @@ def test_selection_cache_decides_rank_per_banded_set(uj):
         assert got[2] == want[2] == (x is both)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
+
+
+def _follower_lap():
+    # node 0 hears nodes 1 and 2, node 2 follows node 3, and nodes 1 and 3 are sources:
+    # node 0 slides on a jump while the mean of g(x_1) and g(x_2) lies inside it
+    return np.array([[2.0, -1.0, -1.0, 0.0], [0.0] * 4, [0.0, 0.0, 1.0, -1.0], [0.0] * 4])
+
+
+def _sliding_flight_case(name):
+    if name == "clipped":  # g(x_2) falls with x_2 towards -3, so the mean leaves [0, 1] at 0
+        return _follower_lap(), unit_jump(), np.array([0.0, 0.5, -0.5, -3.0]), \
+            SimOptions(dt=1e-3, t_max=2.0)
+    if name == "jump-at-1":  # the mean of g = 4 and g(x_2) -> 1.8 stays inside [g(1-), g(1+)] = [2, 3]
+        return _follower_lap(), _two_jump_function(), np.array([1.0, 2.0, 0.5, 0.8]), \
+            SimOptions(dt=1e-3, t_max=2.0)
+    # fig4's source pair {0, 1} sits on the jump at 1: its block is singular, so every
+    # step takes the midpoints while nodes 2 and 3 move
+    return laplacian(fig4_graph()), _two_jump_function(), FIG4_X0, SimOptions(dt=1e-3, t_max=3.0)
+
+
+@pytest.mark.parametrize("name, reasons", [
+    ("clipped", {"clipped"}),
+    ("jump-at-1", {"end"}),
+    ("midpoints", {"band"}),
+])
+def test_sliding_flight_matches_stepwise(monkeypatch, name, reasons):
+    lap, g, x0, opts = _sliding_flight_case(name)
+    blocks = _block_times(monkeypatch, sliding=True)
+    run = simulate_fixed(WeightedDigraph.from_laplacian(lap), g, x0, opts)
+    t, x = assert_matches_stepwise(run, [(lap, opts.t_max)], g, x0, opts)
+    s = run.summary
+    assert s.sliding_flight_steps == sum(len(b) - 1 for b in blocks) > 500
+    assert reasons <= _cut_reasons(t, x, blocks, lap, g, opts, run.trajectory.sliding)
+    if name == "midpoints":
+        assert s.fallback_steps == s.steps  # midpoints in blocks count as fallbacks too
+        assert check_sliding_velocity(run.trajectory, [(lap, opts.t_max)], g.breakpoint_xs) == 0
+    else:
+        assert s.fallback_steps == 0
+        checked = check_sliding_velocity(run.trajectory, [(lap, opts.t_max)], g.breakpoint_xs)
+        assert checked == s.sliding_flight_steps + (name == "jump-at-1")  # + the final sample
+    if name == "jump-at-1":
+        assert run.trajectory.sliding[:, 0].all() and (x[:, 0] == 1.0).all()
+
+
+def test_sliding_flight_in_a_blinking_run_matches_stepwise(monkeypatch, uj):
+    proc = process_for_blinking(BlinkingModel(n=12, K=0, p=0.15, w=0.2), UniformDuration(0.0, 1.0))
+    x0 = np.random.default_rng(4).uniform(-2, 2, 12)
+    opts = SimOptions(dt=5e-3, t_max=20.0, consensus_tol=1e-3)
+    blocks = _block_times(monkeypatch, sliding=True)
+    run = simulate_switching(proc, uj, x0, opts, seed=4)
+    s = run.summary
+    segments = [(iv.lap, iv.t_end) for iv in sample_schedule(proc, opts.t_max, 4)[:s.n_intervals]]
+    assert_matches_stepwise(run, segments, uj, x0, opts)
+    assert s.sliding_flight_steps == sum(len(b) - 1 for b in blocks) > s.steps // 10
+    assert max(len(b) - 1 for b in blocks) > 50 and s.fallback_steps > 0
+    assert check_sliding_velocity(run.trajectory, segments, uj.breakpoint_xs) > 300
+
+
+def test_sliding_flight_across_switching_segments_matches_stepwise(monkeypatch, uj):
+    rng = np.random.default_rng(1)
+    proc = process_for_graph(random_strongly_connected(rng, 6), ConstantDuration(0.25))
+    x0 = rng.uniform(-1, 1, 6)
+    opts = SimOptions(dt=1e-3, t_max=5.0)
+    blocks = _block_times(monkeypatch, sliding=True)
+    run = simulate_switching(proc, uj, x0, opts, seed=1)
+    schedule = sample_schedule(proc, opts.t_max, 1)
+    segments = [(iv.lap, iv.t_end) for iv in schedule]
+    assert_matches_stepwise(run, segments, uj, x0, opts)
+    s = run.summary
+    assert s.sliding_flight_steps == sum(len(b) - 1 for b in blocks) > 300 and s.fallback_steps == 0
+    # blocks stop at segment ends, and three segments take some
+    owners = [next(iv.k for iv in schedule if iv.t_start <= b[0] < iv.t_end) for b in blocks]
+    assert all(b[-1] <= schedule[k].t_end for b, k in zip(blocks, owners)) and len(set(owners)) == 3
+    assert check_sliding_velocity(run.trajectory, segments, uj.breakpoint_xs) > 300
+
+
+def test_midpoint_flight_in_every_switching_segment_matches_stepwise(fig4):
+    # fig4's source pair sits on the jump at 1 (a singular block, so midpoints) and the
+    # run reaches a fixed point: later segments start on it, where a block takes no step
+    proc = process_for_graph(fig4, ConstantDuration(0.25))
+    opts = SimOptions(dt=1e-3, t_max=5.0)
+    g = _two_jump_function()
+    run = simulate_switching(proc, g, FIG4_X0, opts, seed=3)
+    schedule = sample_schedule(proc, opts.t_max, 3)
+    assert_matches_stepwise(run, [(iv.lap, iv.t_end) for iv in schedule], g, FIG4_X0, opts)
+    s = run.summary
+    assert s.fallback_steps == s.steps and s.sliding_flight_steps > 500
+    assert s.fixed_point_steps > s.steps // 2
+
+
+def test_sliding_flight_skips_the_stepper(monkeypatch, tmp_path):
+    calls = builds = 0
+    advance, banded_set = dynamics._Stepper.advance, dynamics._Stepper._banded_set
+
+    def counting_advance(self, *args):
+        nonlocal calls
+        calls += 1
+        return advance(self, *args)
+
+    def counting_banded_set(self, k):
+        nonlocal builds
+        builds += 1
+        return banded_set(self, k)
+
+    monkeypatch.setattr(dynamics._Stepper, "advance", counting_advance)
+    monkeypatch.setattr(dynamics._Stepper, "_banded_set", counting_banded_set)
+    paths = {p.stem: p for p in write_bundled(tmp_path / "bundle")}
+    s = cli_run(load_config(paths["blinking-50"]), tmp_path / "out")["result"]
+    assert (s["steps"], s["fallback_steps"]) == (19_226, 339)
+    assert calls <= 300 and builds <= 110
+    assert s["free_flight_steps"] + s["sliding_flight_steps"] + s["fixed_point_steps"] + calls \
+        == s["steps"]
