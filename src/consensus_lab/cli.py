@@ -27,7 +27,6 @@ import numpy as np
 from . import bundled
 from .dynamics import FixedSummary, RunSummary, SimOptions, finite_time_bound, simulate_fixed
 from .graph import (
-    NoSpanningTreeError,
     WeightedDigraph,
     is_delta_scrambling,
     laplacian,
@@ -222,25 +221,6 @@ def _graph_report(graph: WeightedDigraph, delta: float | None) -> dict:
     return report
 
 
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    echo = dataclasses.asdict(cfg)
-    echo.pop("base_dir")
-    return echo
-
-
-def _defaults_echo() -> dict:
-    return dataclasses.asdict(SimOptions())
-
-
-def _summary_skeleton(cfg: ExperimentConfig) -> dict:
-    return {
-        "mode": cfg.mode,
-        "seed": cfg.seed,
-        "config": _config_echo(cfg),
-        "defaults": _defaults_echo(),
-    }
-
-
 def _result(s: RunSummary) -> dict:
     """The ``result`` block: the fields every run reports, plus a fixed run's consensus value."""
     names = [f.name for f in dataclasses.fields(RunSummary)]
@@ -267,20 +247,19 @@ def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     """Execute one experiment; returns the summary dict written to disk."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary = _summary_skeleton(cfg)
+    config = dataclasses.asdict(cfg)
+    config.pop("base_dir")
+    summary = {"mode": cfg.mode, "seed": cfg.seed, "config": config,
+               "defaults": dataclasses.asdict(SimOptions())}
 
     if cfg.mode == "analyze":
         graph = _load_graph(cfg)
-        summary["graph"] = _graph_report(graph, cfg.delta)
+        report = summary["graph"] = _graph_report(graph, cfg.delta)
         if cfg.function and cfg.x0:
             g = _function(cfg)
             x0 = _initial_state(cfg, graph.n)
-            try:
-                summary["wra_predicted"] = wra(x0, graph)
-            except NoSpanningTreeError:
-                summary["wra_predicted"] = None
-            part = root_partition(graph)
-            if part is not None and not part.s2:
+            summary["wra_predicted"] = wra(x0, graph) if report["has_spanning_tree"] else None
+            if report["has_spanning_tree"] and not report["s2"]:
                 summary["finite_time_bound"] = finite_time_bound(graph, g, x0)
         write_edge_list(graph, out / "graph.edges")
         _write_summary(out, summary)
@@ -308,9 +287,8 @@ def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         graph = _load_graph(cfg)
         x0 = _initial_state(cfg, graph.n)
         result = simulate_fixed(graph, g, x0, opts, record_stride=cfg.stride)
-        summary["graph"] = _graph_report(graph, cfg.delta)
-        part = root_partition(graph)
-        if part is not None and not part.s2:
+        report = summary["graph"] = _graph_report(graph, cfg.delta)
+        if report["has_spanning_tree"] and not report["s2"]:
             summary["finite_time_bound"] = finite_time_bound(graph, g, x0)
         summary["result"] = _result(result.summary)
         summary["x0"] = [float(v) for v in x0]

@@ -232,16 +232,14 @@ class _Stepper:
         self._block = None  # its state rows, allocated at the first block
         self._banded_key = self._banded = None  # the last k.tobytes() and its _banded_set
 
-    def _banded_set(self, k: np.ndarray) -> _BandedSet | None:
-        """The selection structure at band-edge index ``k``; None if no component is banded.
+    def _banded_set(self, k: np.ndarray) -> _BandedSet:
+        """The selection structure at band-edge index ``k``, which has a banded component.
 
         The rank verdict is ``matrix_rank(L_bb)``: singular values up to
         ``eps * max(shape)`` times the largest count as zero, numpy's
         least-squares cutoff.
         """
         banded = (k & 1).astype(bool)
-        if not banded.any():
-            return None
         b = np.flatnonzero(banded)
         f = np.flatnonzero(~banded)
         bi = k[b] // 2
@@ -253,11 +251,13 @@ class _Stepper:
         return _BandedSet(b, f, lo, hi, self.bxs[bi], 0.5 * (lo + hi), op)
 
     def _banded_for(self, k: np.ndarray) -> _BandedSet | None:
-        """``_banded_set(k)``, kept for the last ``k`` seen.
+        """``_banded_set(k)``, kept for the last ``k`` seen; None if no component is banded.
 
         One stepper serves one segment, so a run of banded steps at one
-        (segment, ``k``) builds it once.
+        (segment, ``k``) builds it once, and free steps between them keep it.
         """
+        if not np.count_nonzero(k & 1):
+            return None
         key = k.tobytes()
         if key != self._banded_key:
             self._banded_key, self._banded = key, self._banded_set(k)
@@ -292,19 +292,11 @@ class _Stepper:
         dt = min(self.opts.dt, dt_cap)
         if dt <= 0:
             raise ValueError("step size collapsed to zero")
-        in_band = k & 1
-        if np.count_nonzero(in_band):
-            gamma, sliding, fallback = self.selection(x, k)
-            v = -(self.lap @ gamma)
-            v[sliding] = 0.0
-            x_new, dt = self._capped_step(x, v, k, in_band, dt)
-            x_new[sliding] = self.bxs[k[sliding] // 2]
-        else:
-            gamma = self.g.values(x)
-            v = -(self.lap @ gamma)
-            x_new, dt = self._capped_step(x, v, k, in_band, dt)
-            sliding = np.zeros(len(x), dtype=bool)
-            fallback = False
+        gamma, sliding, fallback = self.selection(x, k)
+        v = -(self.lap @ gamma)
+        v[sliding] = 0.0
+        x_new, dt = self._capped_step(x, v, k, k & 1, dt)
+        x_new[sliding] = self.bxs[k[sliding] // 2]
         if not np.isfinite(x_new).all():
             raise IntegrationError(f"state overflow at t={t}")
         return x_new, t + dt, gamma, sliding, dt, fallback
@@ -347,7 +339,7 @@ class _Stepper:
         g = self.g
         if not g._all_affine:
             return None
-        bs = self._banded_for(k0) if np.count_nonzero(k0 & 1) else None
+        bs = self._banded_for(k0)
         if bs is not None and x[bs.b].tobytes() != bs.xb.tobytes():
             return None  # ``advance`` pins them first
         dt = self.opts.dt

@@ -1,5 +1,8 @@
 """Weighted directed graphs, Laplacians, root sets, and scrambling measures.
 
+The roots of a graph are the vertices that reach every vertex; a spanning
+tree exists exactly when there is one.
+
 Weight convention: ``W[i, j] > 0`` iff there is a directed edge from vertex
 ``j`` to vertex ``i``. The Laplacian is ``L[i, j] = -W[i, j]`` off the
 diagonal and ``L[i, i] = sum_j W[i, j]``, so every row of ``L`` sums to zero
@@ -12,8 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 
 class NoSpanningTreeError(ValueError):
@@ -102,34 +103,32 @@ class RootPartition:
         return lap[np.ix_(idx, idx)]
 
 
-def _adjacency(g: WeightedDigraph) -> sp.csr_matrix:
-    # csgraph wants A[i, j] != 0 meaning edge i -> j; our W is transposed.
-    return sp.csr_matrix((g.weights > 0).T)
+def _reach(g: WeightedDigraph) -> np.ndarray:
+    """Reachability closure: entry [i, j] is True iff j reaches i (in zero or more steps).
+
+    Squares the 0/1 matrix of ``(W > 0) | I`` and thresholds the product at
+    ``> 0`` until it stops changing. A product entry counts at most n paths,
+    so float64 holds it exactly.
+    """
+    r = ((g.weights > 0) | np.eye(g.n, dtype=bool)).astype(float)
+    while True:
+        squared = (r @ r > 0).astype(float)
+        if np.array_equal(squared, r):
+            return r > 0
+        r = squared
 
 
 def root_partition(g: WeightedDigraph) -> RootPartition | None:
     """Root set of the graph, or None when no spanning tree exists.
 
-    Uses strongly-connected-component condensation: a spanning tree exists
-    iff the condensation has exactly one source component, and the roots are
-    exactly that component's vertices.
+    The roots are the vertices that reach every vertex; a spanning tree
+    exists iff there is one. Both parts are in ascending order.
     """
-    if g.n == 1:
-        return RootPartition((0,), ())
-    n_comp, labels = connected_components(_adjacency(g), directed=True, connection="strong")
-    if n_comp == 1:
-        return RootPartition(tuple(range(g.n)), ())
-    has_incoming = np.zeros(n_comp, dtype=bool)
-    dst, src = np.nonzero(g.weights)
-    cross = labels[src] != labels[dst]
-    has_incoming[labels[dst[cross]]] = True
-    sources = np.flatnonzero(~has_incoming)
-    if len(sources) != 1:
+    roots = _reach(g).all(axis=0)
+    if not roots.any():
         return None
-    root_label = sources[0]
-    s1 = tuple(int(i) for i in np.flatnonzero(labels == root_label))
-    s2 = tuple(int(i) for i in np.flatnonzero(labels != root_label))
-    return RootPartition(s1, s2)
+    return RootPartition(tuple(np.flatnonzero(roots).tolist()),
+                         tuple(np.flatnonzero(~roots).tolist()))
 
 
 def has_spanning_tree(g: WeightedDigraph) -> bool:
@@ -137,10 +136,7 @@ def has_spanning_tree(g: WeightedDigraph) -> bool:
 
 
 def is_strongly_connected(g: WeightedDigraph) -> bool:
-    if g.n == 1:
-        return True
-    n_comp, _ = connected_components(_adjacency(g), directed=True, connection="strong")
-    return n_comp == 1
+    return bool(_reach(g).all())
 
 
 def left_null_vector(block: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -11,6 +11,7 @@ from consensus_lab import (
     WeightedDigraph,
     has_spanning_tree,
     is_delta_scrambling,
+    is_strongly_connected,
     laplacian,
     left_null_vector,
     read_edge_list,
@@ -110,7 +111,7 @@ def _all_digraphs(n):
         yield WeightedDigraph(n, w)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_root_partition_matches_bruteforce_exhaustive(n):
     for g in _all_digraphs(n):
         expected = brute_force_root_set(g)
@@ -120,6 +121,7 @@ def test_root_partition_matches_bruteforce_exhaustive(n):
         else:
             assert part is not None
             assert set(part.s1) == expected
+        assert is_strongly_connected(g) == (expected == set(range(n)))
 
 
 def test_root_partition_matches_bruteforce_random():
@@ -134,6 +136,22 @@ def test_root_partition_matches_bruteforce_random():
             assert set(part.s1) == expected
             # strongly connected exactly when every vertex is a root
             assert (len(part.s1) == n) == (expected == set(range(n)))
+        assert is_strongly_connected(g) == (expected == set(range(n)))
+
+
+@pytest.mark.parametrize("shape", ["path", "cycle"])
+@pytest.mark.parametrize("n", [2, 3, 64, 300])
+def test_root_partition_path_and_cycle(shape, n):
+    # a path 0 -> 1 -> ... -> n-1 has the longest reach, so it takes the most squarings
+    edges = [(i, i + 1, 1.0) for i in range(n - 1)]
+    if shape == "cycle":
+        edges.append((n - 1, 0, 1.0))
+    g = WeightedDigraph.from_edges(n, edges)
+    part = root_partition(g)
+    roots = (0,) if shape == "path" else tuple(range(n))
+    assert part.s1 == roots
+    assert part.s2 == tuple(v for v in range(n) if v not in roots)
+    assert is_strongly_connected(g) == (shape == "cycle")
 
 
 def test_left_null_vector_fig1_block(fig1):
