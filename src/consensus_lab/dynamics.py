@@ -20,13 +20,14 @@ produced trajectories can be checked against the set-valued semantics.
 ``integrate`` is the one integration loop. It steps through segments of
 constant Laplacian: a switching schedule is a sequence of them, a fixed
 topology a single one. Once a full-length step returns its input bit for
-bit, the rest of the segment replays only the time grid.
+bit, the rest of the segment replays only the time grid, in vectorized chunks.
 
 Flight blocks: while every piece of g is affine and every banded component
 is already pinned on its abscissa, a step is one affine map: ``gamma = s*x +
-c`` with each component's piece slope ``s`` and intercept ``c``, the banded
-entries replaced by ``K @ gamma_f`` (or the midpoints), then ``x_f -= dt *
-(L @ gamma)_f``. The loop takes a run of such steps in one tight loop and
+c`` with each component's piece slope ``s`` and intercept ``c`` (``x + c``
+when every slope is 1.0, so a free step is add, dot, scale, subtract), the
+banded entries replaced by ``K @ gamma_f`` (or the midpoints), then ``x_f -=
+dt * (L @ gamma)_f``. The loop takes a run of such steps in one tight loop and
 keeps them up to the first state that changes its band-edge or piece index,
 leaves the state space, reaches the consensus tolerance or is an exact fixed
 point, and up to the first banded selection that is not strictly inside its
@@ -51,17 +52,30 @@ from .graph import (
     WeightedDigraph,
     laplacian,
     left_null_vector,
-    root_partition,
+    root_weights,
     wra,
 )
 from .protocol import ClassAFunction, validated
 
 # Flight block length in steps: it halves after a block that was cut and
 # doubles after one that ran to its end, within these limits. The state rows
-# of one block hold at most _BLOCK_ELEMENTS floats (32 KiB). A block is cut
-# only after it is computed, so a longer one wastes more steps at its cut.
+# of one block hold at most _BLOCK_ELEMENTS floats (32 KiB), and so does the
+# time grid of one fixed-point replay chunk. A block is cut only after it is
+# computed, so a longer one wastes more steps at its cut.
 _BLOCK_MIN_STEPS = 8
 _BLOCK_ELEMENTS = 1 << 12
+
+
+def _grid(t: float, t_end: float, dt: float, tiny: float, length: int):
+    """The ``length + 1`` grid times from ``t``, as repeated ``t += dt`` sums them.
+
+    Also returns how many of the starts lie before ``t_end - tiny`` with a whole ``dt`` left.
+    """
+    times = np.full(length + 1, dt)
+    times[0] = t
+    np.add.accumulate(times, out=times)
+    starts = times[:-1]
+    return times, int(np.count_nonzero((starts < t_end - tiny) & (t_end - starts >= dt)))
 
 
 class IntegrationError(RuntimeError):
@@ -153,15 +167,20 @@ class _Recorder:
         self._count = 0
 
     def maybe_add(self, t, x, gamma, sliding) -> None:
-        if self._count % self.stride == 0:
+        if self._keep(1).start == 0:
             self.add(t, x, gamma, sliding)
-        self._count += 1
 
     def add(self, t, x, gamma, sliding) -> None:
         self.t.append(t)
         self.x.append(x.copy())
         self.gamma.append(gamma.copy())
         self.sliding.append(sliding.copy())
+
+    def _keep(self, count: int) -> slice:
+        """The slice of the next ``count`` samples that the stride keeps; counts them."""
+        keep = slice((-self._count) % self.stride, None, self.stride)
+        self._count += count
+        return keep
 
     def maybe_add_block(self, t: np.ndarray, x: np.ndarray, s: np.ndarray, c: np.ndarray,
                         bs: _BandedSet | None, gb) -> None:
@@ -170,7 +189,7 @@ class _Recorder:
         The selection is s*x + c, except for the components of ``bs``, which
         slide with the selection ``gb`` (one row per step).
         """
-        keep = slice((-self._count) % self.stride, None, self.stride)
+        keep = self._keep(len(t))
         rows = x[keep]
         gamma = s * rows + c
         sliding = np.zeros(rows.shape, dtype=bool)
@@ -181,7 +200,27 @@ class _Recorder:
         self.x.extend(rows.copy())
         self.gamma.extend(gamma)
         self.sliding.extend(sliding)
-        self._count += len(t)
+
+    def replay(self, t: float, t_end: float, dt: float, tiny: float, x, gamma, sliding):
+        """``maybe_add`` at each step from the fixed point ``x`` to ``t_end``; no step moves x.
+
+        The times are those of ``t += min(dt, t_end - t)`` while ``t < t_end - tiny``:
+        the full steps in chunks of at most ``_BLOCK_ELEMENTS`` grid times, then
+        the short last step. Returns the time reached and the step count.
+        """
+        rows = x.copy(), gamma.copy(), sliding.copy()
+        steps = 0
+        while t < t_end - tiny:
+            times, m = _grid(t, t_end, dt, tiny, min(_BLOCK_ELEMENTS, int((t_end - t) / dt) + 1))
+            if m == 0:  # less than dt is left: the short last step
+                times, m = np.array([t, t + (t_end - t)]), 1
+            kept = times[:m][self._keep(m)].tolist()
+            self.t.extend(kept)
+            for samples, row in zip((self.x, self.gamma, self.sliding), rows):
+                samples.extend([row] * len(kept))
+            t = float(times[m])
+            steps += m
+        return t, steps
 
     def build(self, meta: dict) -> Trajectory:
         x = np.array(self.x)
@@ -228,6 +267,7 @@ class _Stepper:
         if edges != sorted(edges):
             raise ValueError("jump bands overlap: breakpoints must be more than 2*band apart")
         self.edges = np.array(edges)
+        self._unit = g._all_affine and bool((g._slopes == 1.0).all())  # 1.0 * x is x
         self._block_len = _BLOCK_MIN_STEPS  # steps the next flight block tries
         self._block = None  # its state rows, allocated at the first block
         self._banded_key = self._banded = None  # the last k.tobytes() and its _banded_set
@@ -293,7 +333,7 @@ class _Stepper:
         if dt <= 0:
             raise ValueError("step size collapsed to zero")
         gamma, sliding, fallback = self.selection(x, k)
-        v = -(self.lap @ gamma)
+        v = -np.dot(self.lap, gamma)  # the kernel of ``flight``
         v[sliding] = 0.0
         x_new, dt = self._capped_step(x, v, k, k & 1, dt)
         x_new[sliding] = self.bxs[k[sliding] // 2]
@@ -345,18 +385,14 @@ class _Stepper:
         dt = self.opts.dt
         n = len(x)
         length = self._block_len
-        times = np.full(length + 1, dt)
-        times[0] = t
-        np.add.accumulate(times, out=times)  # sequential sums: the grid of repeated t += dt
-        starts = times[:-1]
-        m = int(np.count_nonzero((starts < t_end - tiny) & (t_end - starts >= dt)))
+        times, m = _grid(t, t_end, dt, tiny, length)
         if m == 0:
             return None
         if self._block is None or len(self._block) <= length:
             self._block = np.empty((length + 1, n))
             self._rows = list(self._block)
             self._gamma, self._v = np.empty(n), np.empty(n)
-        lap, rows, gamma, v = self.lap, self._rows, self._gamma, self._v
+        lap, rows, gamma, v, unit = self.lap, self._rows, self._gamma, self._v, self._unit
         # the piece index, not k0 // 2: a continuity junction splits a band gap
         p0 = g._junctions.searchsorted(x, side="left")
         s, c = g._slopes[p0], g._intercepts[p0]
@@ -371,13 +407,16 @@ class _Stepper:
             prev = rows[0].tobytes()
             for j in range(m):
                 # x - dt*(L @ gamma) is x + dt*(-(L @ gamma)): negation is exact
-                np.multiply(s, rows[j], gamma)  # positional out: a keyword costs 10%
-                np.add(gamma, c, gamma)
+                if unit:
+                    np.add(rows[j], c, gamma)  # positional out: a keyword costs 10%
+                else:
+                    np.multiply(s, rows[j], gamma)
+                    np.add(gamma, c, gamma)
                 if bs is not None:
                     gb = bs.mid if op is None else op @ gamma[f]
                     gamma[b] = gb
                     gbs.append(gb)
-                np.matmul(lap, gamma, v)
+                np.dot(lap, gamma, v)  # the kernel of ``advance``; 0.5 us less than matmul
                 np.multiply(v, w, v)
                 np.subtract(rows[j], v, rows[j + 1])
                 cur = rows[j + 1].tobytes()
@@ -500,13 +539,10 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
                 # A step is a function of x and of a cap that only shrinks, and a
                 # shorter step from x rounds back to x too: every later step of
                 # this segment returns x with the same selection. Replay the grid.
-                t = t_new
-                while t < t_end - tiny:
-                    rec.maybe_add(t, x, gamma, sliding)
-                    t += min(opts.dt, t_end - t)
-                    steps += 1
-                    fixed_point_steps += 1
-                    fallback_steps += fb
+                t, m = rec.replay(t_new, t_end, opts.dt, tiny, x, gamma, sliding)
+                steps += m
+                fixed_point_steps += m
+                fallback_steps += fb * m
                 continue
             x, t = x_new, t_new
         taken.append((v_start, _spread(x), t))
@@ -582,7 +618,11 @@ def lyapunov_VL(x: np.ndarray, lap: np.ndarray, g: ClassAFunction, xbar: float) 
     ``gbar`` the midpoint of the set-valued evaluation at ``xbar``. Zero
     exactly on the consensus state xbar*1, positive elsewhere.
     """
-    xi = left_null_vector(np.asarray(lap, dtype=float))
+    return _lyapunov_VL(x, left_null_vector(np.asarray(lap, dtype=float)), g, xbar)
+
+
+def _lyapunov_VL(x: np.ndarray, xi: np.ndarray, g: ClassAFunction, xbar: float) -> float:
+    """``lyapunov_VL`` with the left null vector ``xi`` given."""
     gbar = g.eval_interval(xbar).mid
     x = np.asarray(x, dtype=float)
     total = 0.0
@@ -599,12 +639,13 @@ def finite_time_bound(graph: WeightedDigraph, g: ClassAFunction, x0: np.ndarray,
     largest eigenvalue of -(Xi L + L^T Xi), or None when the weighted root
     average of x0 is a continuity point of g (bound not applicable).
     """
-    part = root_partition(graph)
-    if part is None:
-        raise NoSpanningTreeError("graph has no spanning tree")
+    part, xi = root_weights(graph)
     if part.s2:
         raise ValueError("finite-time bound needs a strongly connected graph")
-    xbar = wra(np.asarray(x0, dtype=float), graph)
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (graph.n,):
+        raise ValueError(f"state must have length {graph.n}")
+    xbar = float(xi @ x0[list(part.s1)])  # wra(x0, graph), from the same root weights
     hits = [b for b in g.breakpoints if abs(b.x - xbar) <= atol]
     if not hits:
         return None
@@ -612,8 +653,7 @@ def finite_time_bound(graph: WeightedDigraph, g: ClassAFunction, x0: np.ndarray,
     if graph.n == 1:
         return 0.0
     lap = laplacian(graph)
-    xi = left_null_vector(lap)
     q = -(np.diag(xi) @ lap + lap.T @ np.diag(xi))
     lam2 = float(np.linalg.eigvalsh(q)[-2])
-    vl = lyapunov_VL(x0, lap, g, bp.x)
+    vl = _lyapunov_VL(x0, xi, g, bp.x)
     return 4.0 * vl / (abs(lam2) * bp.jump**2)

@@ -1,8 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from consensus_lab import graph
 from consensus_lab.bundled import bundled_examples, write_bundled
 from consensus_lab.cli import ConfigError, ExperimentConfig, load_config, main, run
 
@@ -70,6 +72,36 @@ def test_fixed_point_steps_reported(bundle, tmp_path):
     assert 0 < result["fixed_point_steps"] < result["steps"]
     # the free steps before the fixed point are taken in free-flight blocks
     assert 0 < result["free_flight_steps"] <= result["steps"] - result["fixed_point_steps"]
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of ``graph.<name>``, made through any package module."""
+    original, calls = getattr(graph, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("consensus_lab") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_fixed_run_takes_each_root_set_once_per_use(tmp_path, monkeypatch):
+    # simulate_fixed (for wra), the graph report and finite_time_bound each take
+    # the root set once; wra and finite_time_bound each take the left null vector once
+    (tmp_path / "cycle.edges").write_text("n 3\n0 1 1.0\n1 2 1.0\n2 0 1.0\n")
+    cfg_path = tmp_path / "cycle.json"
+    cfg_path.write_text(json.dumps({
+        "mode": "fixed", "graph": {"edge_list": "cycle.edges"}, "function": {"preset": "unit-jump"},
+        "x0": {"values": [-1.0, 0.0, 1.0]}, "options": {"dt": 1e-2, "t_max": 5.0}}))
+    roots = _count_calls(monkeypatch, "root_partition")
+    null_vectors = _count_calls(monkeypatch, "left_null_vector")
+    summary = run(load_config(cfg_path), tmp_path / "out")
+    assert (len(roots), len(null_vectors)) == (3, 2)
+    # the weighted root average 0 sits on the jump: V_L(x0) = 2/3 and lambda_2 = -1
+    assert summary["finite_time_bound"] == pytest.approx(8 / 3)
 
 
 def test_switching_mode_writes_intervals(bundle, tmp_path):

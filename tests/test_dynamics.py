@@ -200,6 +200,12 @@ def test_finite_time_bound_needs_strong_connectivity(fig1, uj):
         finite_time_bound(fig1, uj, np.zeros(4))
 
 
+@pytest.mark.parametrize("size", [1, 3])
+def test_finite_time_bound_rejects_bad_x0(two_node, uj, size):
+    with pytest.raises(ValueError, match="state must have length 2"):
+        finite_time_bound(two_node, uj, np.zeros(size))
+
+
 def test_trajectory_csv_format(tmp_path, two_node, uj):
     run = simulate_fixed(two_node, uj, np.array([-1.0, 1.0]), SimOptions(dt=1e-2, t_max=1.0))
     path = tmp_path / "traj.csv"
@@ -409,11 +415,70 @@ def test_fixed_point_fast_forward_skips_the_stepper(fig4, uj, monkeypatch):
         return advance(self, *args)
 
     monkeypatch.setattr(dynamics._Stepper, "advance", counting)
+    adds = 0
+    maybe_add = dynamics._Recorder.maybe_add
+
+    def counting_add(self, *args):
+        nonlocal adds
+        adds += 1
+        return maybe_add(self, *args)
+
+    monkeypatch.setattr(dynamics._Recorder, "maybe_add", counting_add)
     run = simulate_fixed(fig4, uj, FIG4_X0, SimOptions(dt=1e-3, t_max=100.0), record_stride=10)
     assert run.summary.steps == 100_001  # summed dt falls just short of t_max: one short step
     assert calls <= 400
+    assert adds <= 400  # the replay records its steps in chunks, not one call per step
     s = run.summary
     assert s.fixed_point_steps + s.free_flight_steps + calls == s.steps
+
+
+def _scalar_replay(rec, t, t_end, dt, tiny, x, gamma, sliding):
+    """The replay as one ``maybe_add`` per step; also tells whether a step was short."""
+    steps, short = 0, False
+    while t < t_end - tiny:
+        rec.maybe_add(t, x, gamma, sliding)
+        short = short or t_end - t < dt
+        t += min(dt, t_end - t)
+        steps += 1
+    return t, steps, short
+
+
+@pytest.mark.parametrize("case", ["within-tiny", "multiple", "short", "chunks"])
+def test_replay_matches_the_scalar_loop(case):
+    rng = np.random.default_rng(["within-tiny", "multiple", "short", "chunks"].index(case))
+    for _ in range(5 if case == "chunks" else 60):
+        dt = float(rng.choice([1e-3, 1e-2, 0.25, rng.uniform(1e-4, 1.0)]))
+        t = float(rng.choice([0.0, rng.uniform(0.0, 50.0)]))
+        k = int(rng.integers(3 * dynamics._BLOCK_ELEMENTS + 1, 4 * dynamics._BLOCK_ELEMENTS)
+                if case == "chunks" else rng.integers(1, 200))
+        t_end = t + k * dt
+        if case in ("short", "chunks"):
+            t_end = t + (k + rng.uniform(0.01, 0.99)) * dt
+        tiny = 1e-12 * max(1.0, t_end)
+        if case == "within-tiny":
+            t = t_end - float(rng.uniform(0.0, 1.0)) * tiny
+        x, gamma = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+        sliding = rng.uniform(size=3) < 0.5
+        stride, offset = int(rng.integers(1, 10)), int(rng.integers(0, 20))
+        rec, ref = dynamics._Recorder(stride), dynamics._Recorder(stride)
+        rec._count = ref._count = offset
+        t_new, steps = rec.replay(t, t_end, dt, tiny, x, gamma, sliding)
+        t_ref, steps_ref, short = _scalar_replay(ref, t, t_end, dt, tiny, x, gamma, sliding)
+        assert (t_new, steps, rec._count) == (t_ref, steps_ref, ref._count)
+        assert rec.t == ref.t
+        for name in ("x", "gamma", "sliding"):
+            np.testing.assert_array_equal(np.reshape(getattr(rec, name), (-1, 3)),
+                                          np.reshape(getattr(ref, name), (-1, 3)))
+        assert {"within-tiny": steps == 0, "multiple": steps >= k, "short": short,
+                "chunks": short and steps > 3 * dynamics._BLOCK_ELEMENTS}[case]
+
+
+def test_fixed_point_replay_over_chunks_matches_stepwise(fig4, uj):
+    opts = SimOptions(dt=1e-2, t_max=123.4567)
+    run = simulate_fixed(fig4, uj, FIG4_X0, opts, record_stride=7)
+    t, _ = assert_matches_stepwise(run, [(laplacian(fig4), opts.t_max)], uj, FIG4_X0, opts, 7)
+    assert run.summary.fixed_point_steps > 3 * dynamics._BLOCK_ELEMENTS
+    assert t[-1] - t[-2] < opts.dt  # the replay ends in a short step
 
 
 def _continuity_function():
