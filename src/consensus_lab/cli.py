@@ -338,8 +338,9 @@ def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     if cfg.graph_dump_stride > 0:
         gdir = out / "graphs"
         gdir.mkdir(exist_ok=True)
+        taken = {r.k for r in result.reports}  # the schedule runs on to t_max; the run may stop early
         for interval in sample_schedule(proc, opts.t_max, _derived_seed(cfg.seed, 1)):
-            if interval.k % cfg.graph_dump_stride == 0:
+            if interval.k in taken and interval.k % cfg.graph_dump_stride == 0:
                 write_edge_list(interval.graph, gdir / f"interval_{interval.k:06d}.edges")
     _write_summary(out, summary)
     return summary

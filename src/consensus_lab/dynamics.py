@@ -17,24 +17,28 @@ band-edge index is 2k + 1.
 Both the selection vector and the sliding set are recorded per sample so the
 produced trajectories can be checked against the set-valued semantics.
 
-``integrate`` is the one integration loop. It steps through segments of
-constant Laplacian: a switching schedule is a sequence of them, a fixed
-topology a single one. Once a full-length step returns its input bit for
-bit, the rest of the segment replays only the time grid, in vectorized chunks.
+``integrate`` is the one integration loop and ``_Stepper.block`` the one
+stepping routine; the public ``step`` is a block of one step. The loop steps
+through segments of constant Laplacian: a switching schedule is a sequence of
+them, a fixed topology a single one. Once a full-length step returns its input
+bit for bit, the rest of the segment replays only the time grid, in vectorized
+chunks.
 
-Flight blocks: while every piece of g is affine and every banded component
-is already pinned on its abscissa, a step is one affine map: ``gamma = s*x +
-c`` with each component's piece slope ``s`` and intercept ``c`` (``x + c``
-when every slope is 1.0, so a free step is add, dot, scale, subtract), the
-banded entries replaced by ``K @ gamma_f`` (or the midpoints), then ``x_f -=
-dt * (L @ gamma)_f``. The loop takes a run of such steps in one tight loop and
-keeps them up to the first state that changes its band-edge or piece index,
-leaves the state space, reaches the consensus tolerance or is an exact fixed
-point, and up to the first banded selection that is not strictly inside its
-jump interval; the normal step takes over from there. The kept states are
-bit for bit those of single steps. With no banded component this is free
-flight, counted in ``free_flight_steps``; otherwise sliding flight, counted
-in ``sliding_flight_steps``.
+Blocks: a block's first step is the general one. When every piece of g is
+affine and that step was full length, moved x, kept its band-edge index and
+left every banded component sliding, pinned on its abscissa, each later step
+is one affine map: ``gamma = s*x + c`` with each component's piece slope ``s``
+and intercept ``c`` (``x + c`` when every slope is 1.0, so a free step is add,
+dot, scale, subtract), the banded entries replaced by ``K @ gamma_f`` (or the
+midpoints), then ``x - dt * (L @ gamma)`` on the unpinned components. The
+block takes them in one tight loop and keeps them up to the first state that
+changes its band-edge or piece index, leaves the state space, reaches the
+consensus tolerance or is an exact fixed point, and up to the first banded
+selection that is not strictly inside its jump interval; the next block starts
+there. The kept states are bit for bit those of single steps. The later steps
+count in ``free_flight_steps`` with no banded component and in
+``sliding_flight_steps`` otherwise: ``steps`` is their sum, plus
+``fixed_point_steps``, plus one per block.
 """
 
 from __future__ import annotations
@@ -57,11 +61,11 @@ from .graph import (
 )
 from .protocol import ClassAFunction, validated
 
-# Flight block length in steps: it halves after a block that was cut and
-# doubles after one that ran to its end, within these limits. The state rows
-# of one block hold at most _BLOCK_ELEMENTS floats (32 KiB), and so does the
-# time grid of one fixed-point replay chunk. A block is cut only after it is
-# computed, so a longer one wastes more steps at its cut.
+# Block length in steps: it halves after a block that was cut and doubles
+# after one that ran to its end, within these limits. The state rows of one
+# block hold at most _BLOCK_ELEMENTS floats (32 KiB), as do its selection rows
+# and the time grid of one fixed-point replay chunk. A block is cut only after
+# it is computed, so a longer one wastes more steps at its cut.
 _BLOCK_MIN_STEPS = 8
 _BLOCK_ELEMENTS = 1 << 12
 
@@ -166,10 +170,6 @@ class _Recorder:
         self.sliding: list[np.ndarray] = []
         self._count = 0
 
-    def maybe_add(self, t, x, gamma, sliding) -> None:
-        if self._keep(1).start == 0:
-            self.add(t, x, gamma, sliding)
-
     def add(self, t, x, gamma, sliding) -> None:
         self.t.append(t)
         self.x.append(x.copy())
@@ -182,27 +182,20 @@ class _Recorder:
         self._count += count
         return keep
 
-    def maybe_add_block(self, t: np.ndarray, x: np.ndarray, s: np.ndarray, c: np.ndarray,
-                        bs: _BandedSet | None, gb) -> None:
-        """``maybe_add`` for each row of a flight block.
+    def add_block(self, t: np.ndarray, x: np.ndarray, gamma: np.ndarray, sliding: np.ndarray) -> None:
+        """Records the steps of a block that the stride keeps.
 
-        The selection is s*x + c, except for the components of ``bs``, which
-        slide with the selection ``gb`` (one row per step).
+        ``t``, ``x`` and ``gamma`` hold one row per step; every step shares the ``sliding`` mask.
         """
         keep = self._keep(len(t))
         rows = x[keep]
-        gamma = s * rows + c
-        sliding = np.zeros(rows.shape, dtype=bool)
-        if bs is not None:
-            gamma[:, bs.b] = gb[keep]
-            sliding[:, bs.b] = True
         self.t.extend(t[keep].tolist())
         self.x.extend(rows.copy())
-        self.gamma.extend(gamma)
-        self.sliding.extend(sliding)
+        self.gamma.extend(gamma[keep].copy())
+        self.sliding.extend([sliding] * len(rows))
 
     def replay(self, t: float, t_end: float, dt: float, tiny: float, x, gamma, sliding):
-        """``maybe_add`` at each step from the fixed point ``x`` to ``t_end``; no step moves x.
+        """Records each step from the fixed point ``x`` to ``t_end``; no step moves x.
 
         The times are those of ``t += min(dt, t_end - t)`` while ``t < t_end - tiny``:
         the full steps in chunks of at most ``_BLOCK_ELEMENTS`` grid times, then
@@ -256,7 +249,7 @@ class _Stepper:
         self.g = g
         self.opts = opts
         # + 0.0 turns a -0.0 abscissa into 0.0, so that a pinned component minus
-        # a zero velocity (of either sign) keeps its bits in a flight block
+        # a zero velocity (of either sign) keeps its bits in a block
         self.bxs = g.breakpoint_xs + 0.0
         self.blo = g.breakpoint_left
         self.bhi = g.breakpoint_right
@@ -268,7 +261,7 @@ class _Stepper:
             raise ValueError("jump bands overlap: breakpoints must be more than 2*band apart")
         self.edges = np.array(edges)
         self._unit = g._all_affine and bool((g._slopes == 1.0).all())  # 1.0 * x is x
-        self._block_len = _BLOCK_MIN_STEPS  # steps the next flight block tries
+        self._block_len = _BLOCK_MIN_STEPS  # steps the next block tries
         self._block = None  # its state rows, allocated at the first block
         self._banded_key = self._banded = None  # the last k.tobytes() and its _banded_set
 
@@ -322,128 +315,99 @@ class _Stepper:
             sliding[bs.b] = (sol > bs.lo) & (sol < bs.hi)
         return gamma, sliding, fallback
 
-    def advance(self, x: np.ndarray, k: np.ndarray, t: float, dt_cap: float):
-        """One step from ``x``, whose band-edge index is ``k``."""
-        # overflow is handled by the explicit finiteness checks below
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._advance(x, k, t, dt_cap)
+    @np.errstate(over="ignore", invalid="ignore")  # the finiteness checks catch an overflow
+    def block(self, x: np.ndarray, k: np.ndarray, t: float, cap: float, t_end: float,
+              tiny: float, consensus_tol: float | None):
+        """A block of steps from ``x``, whose band-edge index is ``k``; see the module docstring.
 
-    def _advance(self, x: np.ndarray, k: np.ndarray, t: float, dt_cap: float):
-        dt = min(self.opts.dt, dt_cap)
+        The first step is at most ``cap`` long: the selection at ``x``, ``v = L @
+        gamma``, then ``x - v*w`` with ``w = dt`` but 0 on the sliding components,
+        which are pinned on their abscissas. ``dt`` is first shortened so that
+        no component passes a whole band it is not in: the first to reach one
+        lands on its abscissa. The later steps follow the grid of full steps
+        towards ``t_end``, none from within ``tiny`` of it, and the first state
+        that reaches ``consensus_tol`` (None: not looked for) ends the block.
+
+        Returns the times and states of the block, start included, the
+        selection of each step, the sliding mask that every step shares,
+        whether they took the midpoint fallback, and the first step's length.
+        """
+        dt = min(self.opts.dt, cap)
         if dt <= 0:
             raise ValueError("step size collapsed to zero")
-        gamma, sliding, fallback = self.selection(x, k)
-        v = -np.dot(self.lap, gamma)  # the kernel of ``flight``
-        v[sliding] = 0.0
-        x_new, dt = self._capped_step(x, v, k, k & 1, dt)
-        x_new[sliding] = self.bxs[k[sliding] // 2]
-        if not np.isfinite(x_new).all():
-            raise IntegrationError(f"state overflow at t={t}")
-        return x_new, t + dt, gamma, sliding, dt, fallback
-
-    def _capped_step(self, x, v, k, in_band, dt):
-        """Euler step, shortened so that no component passes a whole band it is not in.
-
-        The first component to reach such a band lands on its abscissa.
-        """
-        x_new = x + dt * v
-        crossed = np.abs(self.edges.searchsorted(x_new, side="right") - k) > 1 + in_band
-        if np.count_nonzero(crossed):
-            kc = k[crossed]
-            b = self.bxs[np.where(v[crossed] > 0, (kc + 1) // 2, kc // 2 - 1)]
-            dt = min(dt, float(((b - x[crossed]) / v[crossed]).min()))
-            x_new = x + dt * v
-        return x_new, dt
-
-    def flight(self, x: np.ndarray, k0: np.ndarray, t: float, t_end: float, tiny: float,
-               consensus_tol: float | None):
-        """A block of affine-map steps from ``x``, bit for bit the ones ``advance`` takes.
-
-        ``k0`` is the band-edge index of ``x``. Each step is ``gamma = s*x + c``
-        with the piece slopes and intercepts of ``x``, the banded entries
-        replaced by ``K @ gamma_f`` (or the midpoints of a rank-deficient set),
-        then ``x_f -= dt * (L @ gamma)_f``; banded components stay pinned. The
-        free case is the empty banded set.
-
-        Returns the times and states of the block, start included, each
-        component's piece slope and intercept, the banded set (None: free
-        flight) and the banded selection of each step; None when no step can
-        be taken this way: g has a non-affine piece, or a banded component is
-        not yet pinned on its abscissa. The block ends before a step of less
-        than full length or one from within ``tiny`` of ``t_end``, before the
-        first step whose banded selection is not strictly inside its jump
-        interval, and at the first state that changes its band-edge or piece
-        index, is not finite, reaches ``consensus_tol`` (None: not looked for)
-        or is an exact fixed point.
-        """
-        g = self.g
-        if not g._all_affine:
-            return None
-        bs = self._banded_for(k0)
-        if bs is not None and x[bs.b].tobytes() != bs.xb.tobytes():
-            return None  # ``advance`` pins them first
-        dt = self.opts.dt
-        n = len(x)
-        length = self._block_len
-        times, m = _grid(t, t_end, dt, tiny, length)
-        if m == 0:
-            return None
+        g, lap, n, length = self.g, self.lap, len(x), self._block_len
         if self._block is None or len(self._block) <= length:
-            self._block = np.empty((length + 1, n))
-            self._rows = list(self._block)
-            self._gamma, self._v = np.empty(n), np.empty(n)
-        lap, rows, gamma, v, unit = self.lap, self._rows, self._gamma, self._v, self._unit
-        # the piece index, not k0 // 2: a continuity junction splits a band gap
-        p0 = g._junctions.searchsorted(x, side="left")
-        s, c = g._slopes[p0], g._intercepts[p0]
-        w = np.full(n, dt)  # dt for free components, 0 for pinned ones
-        if bs is not None:
-            w[bs.b] = 0.0
-            b, f, op = bs.b, bs.f, bs.op
-        gbs = []  # the banded selection of each step
-        rows[0][:] = x
-        e = m
-        with np.errstate(over="ignore", invalid="ignore"):
-            prev = rows[0].tobytes()
-            for j in range(m):
-                # x - dt*(L @ gamma) is x + dt*(-(L @ gamma)): negation is exact
+            self._block, self._gammas = np.empty((length + 1, n)), np.empty((length, n))
+            self._rows, self._grows, self._v = list(self._block), list(self._gammas), np.empty(n)
+        rows, grows, v = self._rows, self._grows, self._v
+        gamma, sliding, fallback = self.selection(x, k)
+        rows[0][:], grows[0][:] = x, gamma
+        np.dot(lap, gamma, v)  # 0.5 us less than matmul
+        w = np.full(n, dt)
+        w[sliding] = 0.0
+        x1 = rows[1]
+        np.subtract(x, v * w, x1)  # x + dt*(-v) bit for bit: negation is exact
+        k1 = self.edges.searchsorted(x1, side="right")
+        crossed = np.abs(k1 - k) > 1 + (k & 1)
+        if np.count_nonzero(crossed):
+            kc, vc = k[crossed], v[crossed]
+            b = self.bxs[np.where(vc < 0, (kc + 1) // 2, kc // 2 - 1)]
+            dt = min(dt, float(((x[crossed] - b) / vc).min()))
+            np.minimum(w, dt, out=w)
+            np.subtract(x, v * w, x1)
+            k1 = self.edges.searchsorted(x1, side="right")
+        x1[sliding] = self.bxs[k[sliding] // 2]
+        if not np.isfinite(x1).all():
+            raise IntegrationError(f"state overflow at t={t}")
+        t1, e, prev = t + dt, 1, x1.tobytes()
+        times = np.array([t, t1])
+        if (dt == self.opts.dt and t1 < t_end - tiny and t_end - t1 >= dt and g._all_affine
+                and prev != rows[0].tobytes() and (k1 == k).all()
+                and np.count_nonzero(sliding) == np.count_nonzero(k & 1)):
+            times, m = _grid(t, t_end, dt, tiny, length)
+            bs, unit = self._banded_for(k), self._unit
+            if bs is not None:
+                b, f, op = bs.b, bs.f, bs.op
+            # the piece index, not k // 2: a continuity junction splits a band gap
+            p0 = g._junctions.searchsorted(x1, side="left")
+            s, c = g._slopes[p0], g._intercepts[p0]
+            e = m
+            for j in range(1, m):
+                gamma = grows[j]
                 if unit:
                     np.add(rows[j], c, gamma)  # positional out: a keyword costs 10%
                 else:
                     np.multiply(s, rows[j], gamma)
                     np.add(gamma, c, gamma)
                 if bs is not None:
-                    gb = bs.mid if op is None else op @ gamma[f]
-                    gamma[b] = gb
-                    gbs.append(gb)
-                np.dot(lap, gamma, v)  # the kernel of ``advance``; 0.5 us less than matmul
+                    gamma[b] = bs.mid if op is None else op @ gamma[f]
+                np.dot(lap, gamma, v)
                 np.multiply(v, w, v)
                 np.subtract(rows[j], v, rows[j + 1])
                 cur = rows[j + 1].tobytes()
-                if cur == prev:  # a fixed point: ``advance`` finds it and the loop replays
+                if cur == prev:  # a fixed point: the next block's first step finds it
                     e = j
                     break
                 prev = cur
-            new = self._block[1:e + 1]
-            stop = ((self.edges.searchsorted(new, side="right") != k0).any(axis=1)
+            new = self._block[2:e + 1]
+            stop = ((self.edges.searchsorted(new, side="right") != k).any(axis=1)
                     | (g._junctions.searchsorted(new, side="left") != p0).any(axis=1)
                     | ~np.isfinite(new).all(axis=1))
-            if bs is not None:  # step j is not kept when its selection is clipped
-                gbs = np.reshape(gbs[:e], (e, len(b)))
-                stop |= ~((gbs > bs.lo) & (gbs < bs.hi)).all(axis=1)
+            if bs is not None:  # a later step is not kept when its selection is clipped
+                gb = self._gammas[1:e, b]
+                stop |= ~((gb > bs.lo) & (gb < bs.hi)).all(axis=1)
             if stop.any():
-                e = int(stop.argmax())
+                e = int(stop.argmax()) + 1
             if consensus_tol is not None:
-                reached = new[:e].max(axis=1) - new[:e].min(axis=1) < consensus_tol
+                kept = self._block[1:e + 1]
+                reached = kept.max(axis=1) - kept.min(axis=1) < consensus_tol
                 if reached.any():
                     e = int(reached.argmax()) + 1
-        if e < m:
-            self._block_len = max(_BLOCK_MIN_STEPS, length // 2)
-        elif m == length:
-            self._block_len = min(2 * length, max(_BLOCK_MIN_STEPS, _BLOCK_ELEMENTS // n))
-        if e == 0:
-            return None
-        return times[:e + 1], self._block[:e + 1], s, c, bs, gbs[:e]
+            if e < m:
+                self._block_len = max(_BLOCK_MIN_STEPS, length // 2)
+            elif m == length:
+                self._block_len = min(2 * length, max(_BLOCK_MIN_STEPS, _BLOCK_ELEMENTS // n))
+        return times[:e + 1], self._block[:e + 1], self._gammas[:e], sliding, fallback, dt
 
 
 @dataclass(frozen=True)
@@ -460,15 +424,16 @@ def step(state: State, lap: np.ndarray, g: ClassAFunction, opts: SimOptions,
     """One integrator step from ``state``; see the module docstring for semantics."""
     stepper = _Stepper(lap, validated(g), opts)
     x = np.asarray(state.x, dtype=float)
-    cap = dt_limit if dt_limit is not None else opts.dt
     k = stepper.edges.searchsorted(x, side="right")
-    x_new, t_new, gamma, sliding, dt, fb = stepper.advance(x.copy(), k, state.t, cap)
+    cap = dt_limit if dt_limit is not None else opts.dt
+    # a block that ends at state.t has no time left for a second step
+    times, states, gamma, sliding, fallback, dt = stepper.block(x, k, state.t, cap, state.t, 0.0, None)
     return StepResult(
-        state=State(t_new, x_new),
-        gamma=gamma,
+        state=State(float(times[1]), states[1].copy()),
+        gamma=gamma[0].copy(),
         sliding_set=tuple(int(i) for i in np.flatnonzero(sliding)),
         dt=dt,
-        used_fallback=fb,
+        used_fallback=fallback,
     )
 
 
@@ -482,8 +447,8 @@ class RunSummary:
     steps: int
     fallback_steps: int
     fixed_point_steps: int  # of ``steps``, replayed at an exact fixed point without stepping
-    free_flight_steps: int  # of ``steps``, taken inside flight blocks with no banded component
-    sliding_flight_steps: int  # of ``steps``, taken inside flight blocks with banded components
+    free_flight_steps: int  # of ``steps``, after a block's first, with no banded component
+    sliding_flight_steps: int  # of ``steps``, after a block's first, with banded components
     options: SimOptions
 
 
@@ -517,34 +482,26 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
             if t == t_end or (stop_at_consensus and time_to_tol is not None):
                 break
             k = stepper.edges.searchsorted(x, side="right")
-            block = stepper.flight(x, k, t, t_end, tiny,
-                                   opts.consensus_tol if time_to_tol is None else None)
-            if block is not None:
-                times, states, s, c, bs, gb = block
-                block_steps = len(times) - 1
-                rec.maybe_add_block(times[:-1], states[:-1], s, c, bs, gb)
-                steps += block_steps
-                if bs is None:
-                    free_flight_steps += block_steps
-                else:
-                    sliding_flight_steps += block_steps
-                    fallback_steps += block_steps * (bs.op is None)
-                t, x = float(times[-1]), states[-1].copy()
-                continue
-            x_new, t_new, gamma, sliding, dt, fb = stepper.advance(x, k, t, t_end - t)
-            rec.maybe_add(t, x, gamma, sliding)
-            steps += 1
-            fallback_steps += fb
-            if dt == min(opts.dt, t_end - t) and x_new.tobytes() == x.tobytes():
+            times, states, gamma, sliding, fallback, dt = stepper.block(
+                x, k, t, t_end - t, t_end, tiny, opts.consensus_tol if time_to_tol is None else None)
+            rec.add_block(times[:-1], states[:-1], gamma, sliding)
+            e = len(times) - 1
+            steps += e
+            fallback_steps += e * fallback
+            if sliding.any():  # the steps after the first pin every banded component
+                sliding_flight_steps += e - 1
+            else:
+                free_flight_steps += e - 1
+            if e == 1 and dt == min(opts.dt, t_end - t) and states[1].tobytes() == x.tobytes():
                 # A step is a function of x and of a cap that only shrinks, and a
                 # shorter step from x rounds back to x too: every later step of
                 # this segment returns x with the same selection. Replay the grid.
-                t, m = rec.replay(t_new, t_end, opts.dt, tiny, x, gamma, sliding)
+                t, m = rec.replay(float(times[1]), t_end, opts.dt, tiny, x, gamma[0], sliding)
                 steps += m
                 fixed_point_steps += m
-                fallback_steps += fb * m
+                fallback_steps += fallback * m
                 continue
-            x, t = x_new, t_new
+            t, x = float(times[-1]), states[-1].copy()
         taken.append((v_start, _spread(x), t))
         if stop_at_consensus and time_to_tol is not None:
             break

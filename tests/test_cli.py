@@ -243,12 +243,13 @@ def test_runs_batch(bundle, tmp_path):
         assert agg["per_run"][idx]["result"]["free_flight_steps"] > 0
 
 
-def test_graph_dump_stride(bundle, tmp_path):
+def _dumped_intervals(bundle, tmp_path, duration):
+    """The intervals whose graphs a fig1 switching run dumps at stride 2, and those it reports."""
     cfg_path = tmp_path / "sw.json"
     cfg_path.write_text(json.dumps({
         "mode": "switching",
         "graph": {"edge_list": str(bundle / "graphs" / "fig1.edges")},
-        "durations": {"constant": 1.0},
+        "durations": {"constant": duration},
         "function": {"preset": "unit-jump"},
         "x0": {"values": [-1.0, 1.0, 0.0, 0.0]},
         "options": {"t_max": 3.0},
@@ -257,8 +258,19 @@ def test_graph_dump_stride(bundle, tmp_path):
     }))
     out = tmp_path / "out"
     assert main(["switching", "--config", str(cfg_path), "--out", str(out)]) == 0
-    dumped = sorted((out / "graphs").glob("*.edges"))
-    assert [p.name for p in dumped] == ["interval_000000.edges", "interval_000002.edges"]
+    dumped = [int(p.stem.split("_")[1]) for p in sorted((out / "graphs").glob("*.edges"))]
+    reported = [int(line.split(",")[0]) for line in (out / "intervals.csv").read_text().split()[1:]]
+    return dumped, reported
+
+
+def test_graph_dump_stride(bundle, tmp_path):
+    # consensus comes at t = 0.82, inside interval 0 of the 3 that t_max spans
+    assert _dumped_intervals(bundle, tmp_path, 1.0) == ([0], [0])
+
+
+def test_graph_dump_stride_over_several_intervals(bundle, tmp_path):
+    # 0.2-long intervals: the run takes 0..4 of the 15 up to t_max
+    assert _dumped_intervals(bundle, tmp_path, 0.2) == ([0, 2, 4], [0, 1, 2, 3, 4])
 
 
 def test_blinking_bundled_reaches_consensus(bundle, tmp_path):

@@ -405,38 +405,39 @@ def test_fast_forward_in_every_switching_segment_matches_stepwise(fig4, uj):
     assert run.summary.steps - run.summary.fixed_point_steps < 400
 
 
-def test_fixed_point_fast_forward_skips_the_stepper(fig4, uj, monkeypatch):
-    calls = 0
-    advance = dynamics._Stepper.advance
+def _block_calls(monkeypatch):
+    """A one-item list that counts the calls of the stepping routine from here on."""
+    calls = [0]
+    block = dynamics._Stepper.block
 
     def counting(self, *args):
-        nonlocal calls
-        calls += 1
-        return advance(self, *args)
+        calls[0] += 1
+        return block(self, *args)
 
-    monkeypatch.setattr(dynamics._Stepper, "advance", counting)
-    adds = 0
-    maybe_add = dynamics._Recorder.maybe_add
+    monkeypatch.setattr(dynamics._Stepper, "block", counting)
+    return calls
 
-    def counting_add(self, *args):
-        nonlocal adds
-        adds += 1
-        return maybe_add(self, *args)
 
-    monkeypatch.setattr(dynamics._Recorder, "maybe_add", counting_add)
+def assert_every_step_counted(s, calls):
+    """Each step of the summary fields ``s`` is replayed, the first of a block, or a later one."""
+    assert s["fixed_point_steps"] + s["free_flight_steps"] + s["sliding_flight_steps"] + calls \
+        == s["steps"]
+
+
+def test_fixed_point_fast_forward_skips_the_stepper(fig4, uj, monkeypatch):
+    calls = _block_calls(monkeypatch)
     run = simulate_fixed(fig4, uj, FIG4_X0, SimOptions(dt=1e-3, t_max=100.0), record_stride=10)
     assert run.summary.steps == 100_001  # summed dt falls just short of t_max: one short step
-    assert calls <= 400
-    assert adds <= 400  # the replay records its steps in chunks, not one call per step
-    s = run.summary
-    assert s.fixed_point_steps + s.free_flight_steps + calls == s.steps
+    # a block records its steps in one call, and the replay records its steps in chunks
+    assert calls[0] <= 20
+    assert_every_step_counted(vars(run.summary), calls[0])
 
 
 def _scalar_replay(rec, t, t_end, dt, tiny, x, gamma, sliding):
-    """The replay as one ``maybe_add`` per step; also tells whether a step was short."""
+    """The replay as one single-step block per step; also tells whether a step was short."""
     steps, short = 0, False
     while t < t_end - tiny:
-        rec.maybe_add(t, x, gamma, sliding)
+        rec.add_block(np.array([t]), x[None], gamma[None], sliding)
         short = short or t_end - t < dt
         t += min(dt, t_end - t)
         steps += 1
@@ -507,17 +508,18 @@ def _free_flight_case(name):
 
 
 def _block_times(monkeypatch, sliding=False):
-    """The time grid of every free flight block the following runs take, or of every sliding one."""
+    """The time grid of the steps after the first of every block that the following runs
+    take with more than one step and no banded component, or with banded ones."""
     blocks = []
-    flight = dynamics._Stepper.flight
+    block = dynamics._Stepper.block
 
     def spy(self, *args):
-        block = flight(self, *args)
-        if block is not None and (block[4] is not None) == sliding:
-            blocks.append(block[0].copy())
-        return block
+        times, states, gamma, mask, *rest = block(self, *args)
+        if len(times) > 2 and mask.any() == sliding:
+            blocks.append(times[1:].copy())
+        return times, states, gamma, mask, *rest
 
-    monkeypatch.setattr(dynamics._Stepper, "flight", spy)
+    monkeypatch.setattr(dynamics._Stepper, "block", spy)
     return blocks
 
 
@@ -651,7 +653,7 @@ def test_selection_cache_matches_stepwise_through_fallbacks(monkeypatch, uj):
     n_rebuilds = len(rebuilds)  # before the reference adds its own
     s = run.summary
     assert s.fallback_steps - s.fixed_point_steps > 100  # midpoints taken by stepping, not by replay
-    assert s.sliding_flight_steps > 100  # most of them inside flight blocks, which skip ``selection``
+    assert s.sliding_flight_steps > 100  # most of them after a block's first step, which skip ``selection``
     schedule = sample_schedule(proc, opts.t_max, 3)[:s.n_intervals]
     assert_matches_stepwise(run, [(iv.lap, iv.t_end) for iv in schedule], uj, x0, opts)
     # banded steps taken by stepping (a replayed fixed point builds nothing): each
@@ -725,9 +727,49 @@ def test_sliding_flight_matches_stepwise(monkeypatch, name, reasons):
     else:
         assert s.fallback_steps == 0
         checked = check_sliding_velocity(run.trajectory, [(lap, opts.t_max)], g.breakpoint_xs)
-        assert checked == s.sliding_flight_steps + (name == "jump-at-1")  # + the final sample
+        # every step of a sliding block, its first included, + the final sample
+        assert checked == s.sliding_flight_steps + len(blocks) + (name == "jump-at-1")
     if name == "jump-at-1":
         assert run.trajectory.sliding[:, 0].all() and (x[:, 0] == 1.0).all()
+
+
+def test_an_unpinned_set_that_slides_flies_on_in_the_same_block(monkeypatch):
+    # node 0 starts inside the band of the jump at 1 but off its abscissa: the
+    # block's first step slides and pins it, and the block flies on from there
+    lap, g, x0, opts = _sliding_flight_case("jump-at-1")
+    x0 = x0 + np.array([3e-7, 0.0, 0.0, 0.0])
+    blocks = _block_times(monkeypatch, sliding=True)
+    run = simulate_fixed(WeightedDigraph.from_laplacian(lap), g, x0, opts)
+    t, x = assert_matches_stepwise(run, [(lap, opts.t_max)], g, x0, opts)
+    assert blocks[0][0] == t[1] == opts.dt  # the first block went on after its first step
+    assert x[0, 0] == 1.0 + 3e-7 and (x[1:, 0] == 1.0).all() and run.trajectory.sliding[:, 0].all()
+    assert run.summary.sliding_flight_steps == sum(len(b) - 1 for b in blocks) > 1900
+
+
+def _first_step_stop_case(name):
+    if name == "capped":  # node 0's capped step lands an ulp short of a band narrower than that
+        return np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [0.0, 0.0, 0.0]]), \
+            np.array([-0.95, -0.4, -1000.0]), SimOptions(dt=2.0, band=1e-17, t_max=8.0)
+    if name == "clipped":  # node 0 starts in a wide band, clamped, and slides from its second step
+        return _follower_lap(), np.array([0.04, 1.5, -0.4999, -3.0]), \
+            SimOptions(dt=1e-3, band=0.05, t_max=1.0)
+    # node 0 overshoots into the band and, clamped there, back out below it
+    return np.array([[1.0, -1.0], [0.0, 0.0]]), np.array([-1.0, -0.06]), \
+        SimOptions(dt=1.05, band=0.05, t_max=10.0)
+
+
+@pytest.mark.parametrize("name", ["capped", "clipped", "band-edge"])
+def test_a_capped_clamped_or_band_changing_first_step_ends_its_block(uj, name):
+    lap, x0, opts = _first_step_stop_case(name)
+    run = simulate_fixed(WeightedDigraph.from_laplacian(lap), uj, x0, opts)
+    t, x = assert_matches_stepwise(run, [(lap, opts.t_max)], uj, x0, opts)
+    if name == "capped":  # its band-edge index stays, but the later steps are full length
+        assert t[1] < opts.dt and x[1, 0] < -opts.band and t[2] - t[1] == opts.dt
+    elif name == "clipped":
+        assert x[1, 0] > 0.04 and x[2, 0] == 0.0
+        assert not run.trajectory.sliding[0, 0] and run.trajectory.sliding[1:-1, 0].all()
+    else:
+        assert abs(x[1, 0]) <= opts.band < -x[2, 0]
 
 
 def test_sliding_flight_in_a_blinking_run_matches_stepwise(monkeypatch, uj):
@@ -777,24 +819,17 @@ def test_midpoint_flight_in_every_switching_segment_matches_stepwise(fig4):
 
 
 def test_sliding_flight_skips_the_stepper(monkeypatch, tmp_path):
-    calls = builds = 0
-    advance, banded_set = dynamics._Stepper.advance, dynamics._Stepper._banded_set
-
-    def counting_advance(self, *args):
-        nonlocal calls
-        calls += 1
-        return advance(self, *args)
+    calls, builds = _block_calls(monkeypatch), 0
+    banded_set = dynamics._Stepper._banded_set
 
     def counting_banded_set(self, k):
         nonlocal builds
         builds += 1
         return banded_set(self, k)
 
-    monkeypatch.setattr(dynamics._Stepper, "advance", counting_advance)
     monkeypatch.setattr(dynamics._Stepper, "_banded_set", counting_banded_set)
     paths = {p.stem: p for p in write_bundled(tmp_path / "bundle")}
     s = cli_run(load_config(paths["blinking-50"]), tmp_path / "out")["result"]
     assert (s["steps"], s["fallback_steps"]) == (19_226, 339)
-    assert calls <= 300 and builds <= 110
-    assert s["free_flight_steps"] + s["sliding_flight_steps"] + s["fixed_point_steps"] + calls \
-        == s["steps"]
+    assert calls[0] <= 700 and builds <= 110
+    assert_every_step_counted(s, calls[0])

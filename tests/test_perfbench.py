@@ -10,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["fixed-sweep", "bundled-cli"])
+@pytest.mark.parametrize("workload", ["fixed-sweep", "bundled-cli", "blinking-mc"])
 def test_benchmark_checks_pass(workload):
     # a traced round also runs the step probes, the fallback recount and the
     # weighted-root-average and frozen-source oracles
