@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bundled
-from .dynamics import FixedSummary, RunSummary, SimOptions, finite_time_bound, simulate_fixed
+from .dynamics import RunSummary, SimOptions, finite_time_bound, simulate_fixed
 from .graph import (
     WeightedDigraph,
     is_delta_scrambling,
@@ -47,17 +47,11 @@ from .switching import (
     estimate_expected_eta,
     process_for_blinking,
     process_for_graph,
-    sample_schedule,
     simulate_switching,
     write_interval_reports_csv,
 )
 
 MODES = ("analyze", "fixed", "switching", "blinking", "expected-eta")
-
-_CONFIG_KEYS = {
-    "mode", "graph", "function", "x0", "options", "durations", "seed", "out",
-    "stride", "delta", "n_samples", "runs", "graph_dump_stride", "name",
-}
 
 _MODE_REQUIRES = {
     "analyze": ("graph",),
@@ -101,6 +95,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown simulation option: {exc}") from None
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+
+
+# base_dir is where the config file lies, never a key inside it
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"base_dir"}
 
 
 def load_config(path: str | Path, mode: str | None = None,
@@ -221,19 +219,19 @@ def _graph_report(graph: WeightedDigraph, delta: float | None) -> dict:
     return report
 
 
-def _result(s: RunSummary) -> dict:
-    """The ``result`` block: the fields every run reports, plus a fixed run's consensus value."""
-    names = [f.name for f in dataclasses.fields(RunSummary)]
-    if isinstance(s, FixedSummary):
-        names += ["consensus_value", "wra_predicted"]
-    result = {name: getattr(s, name) for name in names}
-    result["options"] = dataclasses.asdict(s.options)
-    return result
+def _block(obj, cls: type | None = None) -> dict:
+    """One ``summary.json`` block: the fields of ``cls`` (default: the class of ``obj``) and
+    the properties of ``cls``, nested dataclasses as dicts. Taking the properties from ``cls``
+    keeps a subclass's derived values out of the block of its base class."""
+    cls = cls or type(obj)
+    names = [f.name for f in dataclasses.fields(cls)]
+    names += [name for name in dir(cls) if isinstance(getattr(cls, name), property)]
+    block = {name: getattr(obj, name) for name in names}
+    return {k: dataclasses.asdict(v) if dataclasses.is_dataclass(v) else v for k, v in block.items()}
 
 
-def _write_summary(out: Path, summary: dict) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+def _write_json(path: Path, obj: dict) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _out_dir(cfg: ExperimentConfig, config_path: Path | None) -> Path:
@@ -249,8 +247,7 @@ def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     config = dataclasses.asdict(cfg)
     config.pop("base_dir")
-    summary = {"mode": cfg.mode, "seed": cfg.seed, "config": config,
-               "defaults": dataclasses.asdict(SimOptions())}
+    summary = {"mode": cfg.mode, "seed": cfg.seed, "config": config, "defaults": _block(SimOptions())}
 
     if cfg.mode == "analyze":
         graph = _load_graph(cfg)
@@ -262,7 +259,7 @@ def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
             if report["has_spanning_tree"] and not report["s2"]:
                 summary["finite_time_bound"] = finite_time_bound(graph, g, x0)
         write_edge_list(graph, out / "graph.edges")
-        _write_summary(out, summary)
+        _write_json(out / "summary.json", summary)
         return summary
 
     if cfg.mode == "expected-eta":
@@ -271,13 +268,8 @@ def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         else:
             sampler = FixedGraphSampler(_load_graph(cfg))
         est = estimate_expected_eta(sampler, cfg.n_samples, _derived_seed(cfg.seed, 2))
-        summary["expected_eta"] = {
-            "mean": est.mean,
-            "std_error": est.std_error,
-            "n_samples": est.n_samples,
-            "certified_positive": est.certified_positive,
-        }
-        _write_summary(out, summary)
+        summary["expected_eta"] = _block(est)
+        _write_json(out / "summary.json", summary)
         return summary
 
     opts = cfg.sim_options()
@@ -290,11 +282,11 @@ def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         report = summary["graph"] = _graph_report(graph, cfg.delta)
         if report["has_spanning_tree"] and not report["s2"]:
             summary["finite_time_bound"] = finite_time_bound(graph, g, x0)
-        summary["result"] = _result(result.summary)
+        summary["result"] = _block(result.summary)
         summary["x0"] = [float(v) for v in x0]
         result.trajectory.to_csv(out / "trajectory.csv")
         write_edge_list(graph, out / "graph.edges")
-        _write_summary(out, summary)
+        _write_json(out / "summary.json", summary)
         return summary
 
     # switching / blinking
@@ -307,7 +299,7 @@ def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     else:
         model = _blinking_model(cfg)
         proc = process_for_blinking(model, _durations(cfg))
-        summary["blinking"] = dataclasses.asdict(model)
+        summary["blinking"] = _block(model)
         n = model.n
     x0 = _initial_state(cfg, n)
     try:
@@ -317,32 +309,18 @@ def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    s = result.summary
-    summary["result"] = _result(s)
-    summary["switching"] = {
-        "n_intervals": s.n_intervals,
-        "epsilon": s.epsilon,
-        "epsilon_exact": s.epsilon_exact,
-        "cumulative_exponent": s.cumulative_exponent,
-        "schedule_seed": s.seed,
-        "delta": s.delta,
-        "delta_scrambling_intervals": s.delta_scrambling_intervals,
-        "delta_scrambling_fraction": (
-            s.delta_scrambling_intervals / s.n_intervals
-            if s.delta is not None and s.n_intervals else None
-        ),
-    }
+    run_fields = summary["result"] = _block(result.summary, RunSummary)
+    summary["switching"] = {k: v for k, v in _block(result.summary).items() if k not in run_fields}
     summary["x0"] = [float(v) for v in x0]
     result.trajectory.to_csv(out / "trajectory.csv")
     write_interval_reports_csv(result.reports, out / "intervals.csv")
     if cfg.graph_dump_stride > 0:
         gdir = out / "graphs"
         gdir.mkdir(exist_ok=True)
-        taken = {r.k for r in result.reports}  # the schedule runs on to t_max; the run may stop early
-        for interval in sample_schedule(proc, opts.t_max, _derived_seed(cfg.seed, 1)):
-            if interval.k in taken and interval.k % cfg.graph_dump_stride == 0:
+        for interval in result.intervals:
+            if interval.k % cfg.graph_dump_stride == 0:
                 write_edge_list(interval.graph, gdir / f"interval_{interval.k:06d}.edges")
-    _write_summary(out, summary)
+    _write_json(out / "summary.json", summary)
     return summary
 
 
@@ -368,7 +346,7 @@ def run_batch(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         "consensus_reached_count": sum(1 for r in reached if r),
         "per_run": summaries,
     }
-    (out_root / "runs.json").write_text(json.dumps(aggregate, indent=2, sort_keys=True) + "\n")
+    _write_json(out_root / "runs.json", aggregate)
     return aggregate
 
 

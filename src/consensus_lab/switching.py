@@ -38,10 +38,6 @@ class ConstantDuration:
     def sample(self, rng: np.random.Generator) -> float:
         return self.value
 
-    @property
-    def mean(self) -> float:
-        return self.value
-
 
 @dataclass(frozen=True)
 class UniformDuration:
@@ -50,10 +46,6 @@ class UniformDuration:
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.uniform(self.low, self.high))
-
-    @property
-    def mean(self) -> float:
-        return 0.5 * (self.low + self.high)
 
 
 GraphSampler = Callable[[np.random.Generator], WeightedDigraph]
@@ -202,13 +194,21 @@ class SwitchingSummary(RunSummary):
     n_intervals: int
     delta: float | None
     delta_scrambling_intervals: int | None
-    seed: int
+    schedule_seed: int
+
+    @property
+    def delta_scrambling_fraction(self) -> float | None:
+        """Share of the reported intervals whose graph is delta-scrambling."""
+        if self.delta is None or not self.n_intervals:
+            return None
+        return self.delta_scrambling_intervals / self.n_intervals
 
 
 @dataclass
 class SwitchingRunResult:
     trajectory: Trajectory
     reports: list[IntervalReport]
+    intervals: list[ScheduleInterval]  # the interval of each report, in report order
     summary: SwitchingSummary
 
 
@@ -247,6 +247,7 @@ def simulate_switching(proc: SwitchingProcess, g: ClassAFunction, x0: np.ndarray
     traj, taken, summary = integrate(segments(), g, x, opts, record_stride, stop_at_consensus)
     traj.meta["seed"] = seed
     reports: list[IntervalReport] = []
+    reported: list[ScheduleInterval] = []
     cumulative_exponent = 0.0
     delta_count: int | None = 0 if delta is not None else None
     for interval, (v_start, v_end, t_reached) in zip(intervals, taken):
@@ -262,6 +263,7 @@ def simulate_switching(proc: SwitchingProcess, g: ClassAFunction, x0: np.ndarray
             v_end=v_end,
             bound_rhs=v_start * math.exp(-eps * eta * dt_actual),
         ))
+        reported.append(interval)
         cumulative_exponent += eps * eta * dt_actual
         if delta is not None and is_delta_scrambling(interval.graph, delta):
             delta_count += 1
@@ -269,6 +271,7 @@ def simulate_switching(proc: SwitchingProcess, g: ClassAFunction, x0: np.ndarray
     return SwitchingRunResult(
         trajectory=traj,
         reports=reports,
+        intervals=reported,
         summary=SwitchingSummary(
             **vars(summary),
             epsilon=eps,
@@ -277,7 +280,7 @@ def simulate_switching(proc: SwitchingProcess, g: ClassAFunction, x0: np.ndarray
             n_intervals=len(reports),
             delta=delta,
             delta_scrambling_intervals=delta_count,
-            seed=seed,
+            schedule_seed=seed,
         ),
     )
 

@@ -1,12 +1,14 @@
+import dataclasses
 import json
 import sys
 
 import numpy as np
 import pytest
 
-from consensus_lab import graph
+from consensus_lab import graph, switching
 from consensus_lab.bundled import bundled_examples, write_bundled
 from consensus_lab.cli import ConfigError, ExperimentConfig, load_config, main, run
+from consensus_lab.dynamics import RunSummary
 
 
 @pytest.fixture
@@ -139,6 +141,34 @@ def test_expected_eta_mode(bundle, tmp_path):
     assert s["expected_eta"]["certified_positive"] is True
 
 
+def test_summary_block_layout(bundle, tmp_path):
+    # perfbench reads result.steps, switching.schedule_seed and switching.n_intervals
+    fig1 = {"edge_list": str(bundle / "graphs" / "fig1.edges")}
+    common = {"graph": fig1, "function": {"preset": "unit-jump"},
+              "x0": {"values": [-1.0, 1.0, 0.0, 0.0]}, "options": {"t_max": 2.0}}
+
+    def blocks(**raw):
+        path = tmp_path / f"{raw['mode']}.json"
+        path.write_text(json.dumps(raw))
+        summary = run(load_config(path), tmp_path / raw["mode"])
+        return {k: set(summary[k]) for k in ("result", "switching", "expected_eta") if k in summary}
+
+    run_fields = {f.name for f in dataclasses.fields(RunSummary)}
+    assert "steps" in run_fields
+    assert blocks(mode="fixed", **common) == {
+        "result": run_fields | {"consensus_value", "wra_predicted"},
+    }
+    assert blocks(mode="switching", durations={"constant": 1.0}, delta=1.0, **common) == {
+        "result": run_fields,
+        "switching": {"n_intervals", "epsilon", "epsilon_exact", "cumulative_exponent",
+                      "schedule_seed", "delta", "delta_scrambling_intervals",
+                      "delta_scrambling_fraction"},
+    }
+    assert blocks(mode="expected-eta", graph=fig1, n_samples=10) == {
+        "expected_eta": {"mean", "std_error", "n_samples", "certified_positive"},
+    }
+
+
 def test_missing_config_exits_2(capsys):
     assert main(["fixed", "--config", "/nonexistent/x.json"]) == 2
     assert "not found" in capsys.readouterr().err
@@ -153,6 +183,14 @@ def test_unknown_config_key_rejected(tmp_path):
     p.write_text(json.dumps({"mode": "fixed", "grpah": {}}))
     with pytest.raises(ConfigError, match="unknown config keys"):
         load_config(p)
+
+
+def test_base_dir_config_key_rejected(tmp_path, capsys):
+    # base_dir is an ExperimentConfig field, but it comes from the config's location
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"mode": "analyze", "graph": {"edge_list": "g.edges"}, "base_dir": "."}))
+    assert main(["analyze", "--config", str(p)]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
 
 
 def test_missing_required_fields(tmp_path):
@@ -271,6 +309,18 @@ def test_graph_dump_stride(bundle, tmp_path):
 def test_graph_dump_stride_over_several_intervals(bundle, tmp_path):
     # 0.2-long intervals: the run takes 0..4 of the 15 up to t_max
     assert _dumped_intervals(bundle, tmp_path, 0.2) == ([0, 2, 4], [0, 1, 2, 3, 4])
+
+
+def test_graph_dump_samples_the_schedule_once(bundle, tmp_path, monkeypatch):
+    starts, schedule = [], switching._schedule
+
+    def counted(*args):
+        starts.append(args)
+        yield from schedule(*args)
+
+    monkeypatch.setattr(switching, "_schedule", counted)
+    _dumped_intervals(bundle, tmp_path, 0.2)
+    assert len(starts) == 1
 
 
 def test_blinking_bundled_reaches_consensus(bundle, tmp_path):
