@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -162,15 +163,26 @@ def _blinking_model(cfg: ExperimentConfig) -> BlinkingModel:
         raise ConfigError(f"bad blinking parameters: {exc}") from None
 
 
+def _floats(name: str, values) -> list[float]:
+    """``values`` as floats; a ConfigError naming the field ``name`` if one is not a number."""
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be numbers, got {values!r}") from None
+
+
 def _durations(cfg: ExperimentConfig):
     spec = cfg.durations or {}
     if "constant" in spec:
-        value = float(spec["constant"])
+        value, = _floats("durations.constant", [spec["constant"]])
         if value <= 0:
             raise ConfigError("constant duration must be positive")
         return ConstantDuration(value)
     if "uniform" in spec:
-        lo, hi = (float(v) for v in spec["uniform"])
+        bounds = _floats("durations.uniform", spec["uniform"])
+        if len(bounds) != 2:
+            raise ConfigError(f"durations.uniform needs two values [lo, hi], got {spec['uniform']!r}")
+        lo, hi = bounds
         if not 0 <= lo < hi:
             raise ConfigError("uniform duration needs 0 <= lo < hi")
         return UniformDuration(lo, hi)
@@ -180,19 +192,24 @@ def _durations(cfg: ExperimentConfig):
 def _function(cfg: ExperimentConfig):
     try:
         return function_from_config(cfg.function or {})
-    except ValueError as exc:
+    except KeyError as exc:
+        raise ConfigError(f"bad function spec: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad function spec: {exc}") from None
 
 
 def _initial_state(cfg: ExperimentConfig, n: int) -> np.ndarray:
     spec = cfg.x0 or {}
     if "values" in spec:
-        x0 = np.asarray(spec["values"], dtype=float)
+        x0 = np.asarray(_floats("x0.values", spec["values"]))
         if x0.shape != (n,):
             raise ConfigError(f"x0 has {x0.size} entries but the graph has {n} vertices")
         return x0
     if "uniform" in spec:
-        lo, hi = float(spec["uniform"]["lo"]), float(spec["uniform"]["hi"])
+        bounds = spec["uniform"]
+        if not isinstance(bounds, dict) or not {"lo", "hi"} <= bounds.keys():
+            raise ConfigError(f"x0.uniform needs 'lo' and 'hi', got {bounds!r}")
+        lo, hi = _floats("x0.uniform", [bounds["lo"], bounds["hi"]])
         if not lo < hi:
             raise ConfigError("x0 uniform range needs lo < hi")
         rng = np.random.default_rng(_derived_seed(cfg.seed, 0))
@@ -336,7 +353,8 @@ def run_batch(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     out_root = Path(out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     jobs = [(cfg, out_root, idx) for idx in range(cfg.runs)]
-    with ProcessPoolExecutor() as pool:
+    # a worker per run: a fork pool starts all of its workers at once
+    with ProcessPoolExecutor(max_workers=min(cfg.runs, os.cpu_count() or 1)) as pool:
         results = sorted(pool.map(_run_indexed, jobs))
     summaries = [s for _, s in results]
     reached = [s.get("result", {}).get("consensus_reached") for s in summaries]

@@ -43,6 +43,7 @@ count in ``free_flight_steps`` with no banded component and in
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -148,33 +149,43 @@ class Trajectory:
         return tuple(int(i) for i in np.flatnonzero(self.sliding[k]))
 
     def to_csv(self, path: str | Path, stride: int = 1) -> None:
-        """Write ``t,x_0,...,x_{n-1},V`` rows at the given sample stride."""
+        """Write ``t,x_0,...,x_{n-1},V`` rows at the given sample stride, and the last sample.
+
+        Rows go to the file one at a time, so writing holds no more than a row in memory.
+        """
         _check_stride("stride", stride)
-        idx = list(range(0, len(self.t), stride))
-        if idx[-1] != len(self.t) - 1:
-            idx.append(len(self.t) - 1)
-        lines = ["t," + ",".join(f"x_{i}" for i in range(self.n)) + ",V"]
-        # tolist() gives Python floats, whose repr is the shortest round-trip form;
-        # one row at a time: boxing all rows at once raises a run's peak memory
-        lines += [",".join(map(repr, [float(self.t[k]), *self.x[k].tolist(), float(self.spread[k])]))
-                  for k in idx]
-        Path(path).write_text("\n".join(lines) + "\n")
+        last = len(self.t) - 1
+        with open(path, "w") as f:
+            f.write("t," + ",".join(f"x_{i}" for i in range(self.n)) + ",V\n")
+            # tolist() gives Python floats, whose repr is the shortest round-trip form
+            f.writelines(",".join(map(repr, [float(self.t[k]), *self.x[k].tolist(), float(self.spread[k])]))
+                         + "\n" for k in itertools.chain(range(0, last, stride), [last]))
 
 
 class _Recorder:
+    """The samples of a run that the stride keeps, each held once.
+
+    Every record call appends one chunk per field: the times as a 1-D array and
+    ``x``, ``gamma`` and ``sliding`` as 2-D arrays of one row per kept sample.
+    A block's rows are copied out of the stepper's reused buffers. The rows of
+    a replayed fixed point are ``np.broadcast_to`` views of one row, with no
+    memory per sample. ``build`` joins the chunks one field at a time and drops
+    each field's chunks as it goes.
+    """
+
     def __init__(self, stride: int):
         self.stride = stride
-        self.t: list[float] = []
-        self.x: list[np.ndarray] = []
-        self.gamma: list[np.ndarray] = []
-        self.sliding: list[np.ndarray] = []
+        self.chunks: dict[str, list[np.ndarray]] = {"t": [], "x": [], "gamma": [], "sliding": []}
         self._count = 0
 
+    def _record(self, t: np.ndarray, x: np.ndarray, gamma: np.ndarray, sliding: np.ndarray) -> None:
+        if len(t):
+            for chunks, chunk in zip(self.chunks.values(), (t, x, gamma, sliding)):
+                chunks.append(chunk)
+
     def add(self, t, x, gamma, sliding) -> None:
-        self.t.append(t)
-        self.x.append(x.copy())
-        self.gamma.append(gamma.copy())
-        self.sliding.append(sliding.copy())
+        """Records one sample, whatever the stride."""
+        self._record(np.array([t]), x[None].copy(), gamma[None].copy(), sliding[None].copy())
 
     def _keep(self, count: int) -> slice:
         """The slice of the next ``count`` samples that the stride keeps; counts them."""
@@ -188,11 +199,8 @@ class _Recorder:
         ``t``, ``x`` and ``gamma`` hold one row per step; every step shares the ``sliding`` mask.
         """
         keep = self._keep(len(t))
-        rows = x[keep]
-        self.t.extend(t[keep].tolist())
-        self.x.extend(rows.copy())
-        self.gamma.extend(gamma[keep].copy())
-        self.sliding.extend([sliding] * len(rows))
+        t = t[keep].copy()
+        self._record(t, x[keep].copy(), gamma[keep].copy(), sliding[None].repeat(len(t), axis=0))
 
     def replay(self, t: float, t_end: float, dt: float, tiny: float, x, gamma, sliding):
         """Records each step from the fixed point ``x`` to ``t_end``; no step moves x.
@@ -207,26 +215,19 @@ class _Recorder:
             times, m = _grid(t, t_end, dt, tiny, min(_BLOCK_ELEMENTS, int((t_end - t) / dt) + 1))
             if m == 0:  # less than dt is left: the short last step
                 times, m = np.array([t, t + (t_end - t)]), 1
-            kept = times[:m][self._keep(m)].tolist()
-            self.t.extend(kept)
-            for samples, row in zip((self.x, self.gamma, self.sliding), rows):
-                samples.extend([row] * len(kept))
+            kept = times[:m][self._keep(m)].copy()
+            self._record(kept, *(np.broadcast_to(row, (len(kept), len(row))) for row in rows))
             t = float(times[m])
             steps += m
         return t, steps
 
     def build(self, meta: dict) -> Trajectory:
-        x = np.array(self.x)
+        # pop each field's chunks, so that they are freed once joined
+        fields = {name: np.concatenate(self.chunks.pop(name)) for name in list(self.chunks)}
+        x = fields["x"]
         with np.errstate(over="ignore"):  # a spread past the float range is inf
             spread = x.max(axis=1) - x.min(axis=1)
-        return Trajectory(
-            t=np.array(self.t),
-            x=x,
-            gamma=np.array(self.gamma),
-            sliding=np.array(self.sliding),
-            spread=spread,
-            meta=meta,
-        )
+        return Trajectory(**fields, spread=spread, meta=meta)
 
 
 class _BandedSet(NamedTuple):

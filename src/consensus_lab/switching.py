@@ -12,7 +12,7 @@ certified separation ratio of the coupling function on the initial hull and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Protocol
 
@@ -134,15 +134,22 @@ class ScheduleInterval:
     t_start: float
     t_end: float
     graph: WeightedDigraph
-    lap: np.ndarray = field(repr=False)
 
     @property
     def duration(self) -> float:
         return self.t_end - self.t_start
 
+    @property
+    def lap(self) -> np.ndarray:
+        """The Laplacian of ``graph``, computed on each access: an interval holds no n x n
+        array beside its graph."""
+        return laplacian(self.graph)
 
-def _schedule(proc: SwitchingProcess, t_max: float, rng_seed: int) -> Iterator[ScheduleInterval]:
-    """The intervals of ``sample_schedule``, each sampled only when it is taken."""
+
+def _schedule(proc: SwitchingProcess, t_max: float, rng_seed: int
+              ) -> Iterator[tuple[ScheduleInterval, np.ndarray]]:
+    """The intervals of ``sample_schedule``, each sampled only when it is taken, with its
+    Laplacian, computed once for the bound check and the segment."""
     rng_dur, rng_graph = (np.random.default_rng(s) for s in np.random.SeedSequence(rng_seed).spawn(2))
     t = 0.0
     k = 0
@@ -154,7 +161,7 @@ def _schedule(proc: SwitchingProcess, t_max: float, rng_seed: int) -> Iterator[S
         lap = laplacian(graph)
         if np.abs(lap).max() > proc.bound + 1e-12:
             raise ValueError("sampled Laplacian exceeds the declared uniform bound")
-        yield ScheduleInterval(k, t, min(t + dt, t_max), graph, lap)
+        yield ScheduleInterval(k, t, min(t + dt, t_max), graph), lap
         t += dt
         k += 1
 
@@ -164,7 +171,7 @@ def sample_schedule(proc: SwitchingProcess, t_max: float, rng_seed: int) -> list
 
     Durations and graphs come from two independent child streams of the seed.
     """
-    return list(_schedule(proc, t_max, rng_seed))
+    return [interval for interval, _ in _schedule(proc, t_max, rng_seed)]
 
 
 @dataclass(frozen=True)
@@ -237,12 +244,12 @@ def simulate_switching(proc: SwitchingProcess, g: ClassAFunction, x0: np.ndarray
         )
     eps = sep.value
 
-    intervals: list[ScheduleInterval] = []
+    intervals: list[tuple[ScheduleInterval, float]] = []  # each taken interval and its eta
 
     def segments():
-        for interval in _schedule(proc, opts.t_max, seed):
-            intervals.append(interval)
-            yield interval.lap, interval.t_end
+        for interval, lap in _schedule(proc, opts.t_max, seed):
+            intervals.append((interval, scrambling_coefficient(-lap)))
+            yield lap, interval.t_end
 
     traj, taken, summary = integrate(segments(), g, x, opts, record_stride, stop_at_consensus)
     traj.meta["seed"] = seed
@@ -250,11 +257,10 @@ def simulate_switching(proc: SwitchingProcess, g: ClassAFunction, x0: np.ndarray
     reported: list[ScheduleInterval] = []
     cumulative_exponent = 0.0
     delta_count: int | None = 0 if delta is not None else None
-    for interval, (v_start, v_end, t_reached) in zip(intervals, taken):
+    for (interval, eta), (v_start, v_end, t_reached) in zip(intervals, taken):
         dt_actual = t_reached - interval.t_start
         if dt_actual <= 0:
             continue
-        eta = scrambling_coefficient(-interval.lap)
         reports.append(IntervalReport(
             k=interval.k,
             dt=dt_actual,

@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
 import pytest
 
-from consensus_lab import graph, switching
+from consensus_lab import cli, graph, switching
 from consensus_lab.bundled import bundled_examples, write_bundled
 from consensus_lab.cli import ConfigError, ExperimentConfig, load_config, main, run
 from consensus_lab.dynamics import RunSummary
@@ -245,6 +246,35 @@ def test_x0_length_mismatch(bundle, tmp_path):
     assert main(["fixed", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
 
+_AFFINE = {"interval": ["-inf", "inf"], "kind": "affine"}
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("x0", {"uniform": {"lo": -1.0}}, "x0.uniform"),
+    ("x0", {"uniform": {"hi": 1.0}}, "x0.uniform"),
+    ("x0", {"values": ["a", 1.0, 2.0, 3.0]}, "x0.values"),
+    ("durations", {"uniform": [0.1, 0.2, 0.3]}, "durations.uniform"),
+    ("durations", {"constant": "long"}, "durations.constant"),
+    ("function", {"pieces": [{**_AFFINE, "intercept": 0.0}]}, "slope"),
+    ("function", {"pieces": [{**_AFFINE, "slope": 1.0}]}, "intercept"),
+])
+def test_malformed_config_field_exits_2(bundle, tmp_path, capsys, key, value, field):
+    cfg = {
+        "mode": "switching",
+        "graph": {"edge_list": str(bundle / "graphs" / "fig1.edges")},
+        "function": {"preset": "unit-jump"},
+        "x0": {"values": [0.0, 1.0, 2.0, 3.0]},
+        "durations": {"constant": 0.5},
+        "options": {"t_max": 1.0},
+        key: value,
+    }
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["switching", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+
+
 def test_seed_override_changes_x0(bundle, tmp_path):
     outs = []
     for seed in (1, 2):
@@ -279,6 +309,21 @@ def test_runs_batch(bundle, tmp_path):
     for idx in range(3):
         assert (out / f"run_{idx:03d}" / "trajectory.csv").exists()
         assert agg["per_run"][idx]["result"]["free_flight_steps"] > 0
+
+
+def test_runs_batch_starts_a_worker_per_run(bundle, tmp_path, monkeypatch):
+    workers = []
+
+    class Pool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            workers.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert main(["fixed", "--config", str(bundle / "double-star.json"),
+                 "--out", str(tmp_path / "batch"), "--t-max", "0.1", "--runs", "2"]) == 0
+    assert workers == [2]
 
 
 def _dumped_intervals(bundle, tmp_path, duration):

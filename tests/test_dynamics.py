@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -466,10 +468,12 @@ def test_replay_matches_the_scalar_loop(case):
         t_new, steps = rec.replay(t, t_end, dt, tiny, x, gamma, sliding)
         t_ref, steps_ref, short = _scalar_replay(ref, t, t_end, dt, tiny, x, gamma, sliding)
         assert (t_new, steps, rec._count) == (t_ref, steps_ref, ref._count)
-        assert rec.t == ref.t
-        for name in ("x", "gamma", "sliding"):
-            np.testing.assert_array_equal(np.reshape(getattr(rec, name), (-1, 3)),
-                                          np.reshape(getattr(ref, name), (-1, 3)))
+        for r in (rec, ref):  # a closing sample, as a run has, so that both build
+            r.add(t_new, -x, -gamma, ~sliding)
+        got, want = rec.build({}), ref.build({})
+        for name in ("t", "x", "gamma", "sliding", "spread"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         assert {"within-tiny": steps == 0, "multiple": steps >= k, "short": short,
                 "chunks": short and steps > 3 * dynamics._BLOCK_ELEMENTS}[case]
 
@@ -509,28 +513,31 @@ def _free_flight_case(name):
 
 def _block_times(monkeypatch, sliding=False):
     """The time grid of the steps after the first of every block that the following runs
-    take with more than one step and no banded component, or with banded ones."""
-    blocks = []
+    take with more than one step and no banded component, or with banded ones; and the
+    end time of every block they take. The one-step blocks of ``step`` are not theirs."""
+    blocks, ends = [], []
     block = dynamics._Stepper.block
 
     def spy(self, *args):
         times, states, gamma, mask, *rest = block(self, *args)
         if len(times) > 2 and mask.any() == sliding:
             blocks.append(times[1:].copy())
+        if args[4] > args[2]:  # a ``step`` block has t_end = t
+            ends.append(float(times[-1]))
         return times, states, gamma, mask, *rest
 
     monkeypatch.setattr(dynamics._Stepper, "block", spy)
-    return blocks
+    return blocks, ends
 
 
-def _cut_reasons(t, x, blocks, lap, g, opts, sliding=None):
-    """Why blocks ended, read off the reference states at and after each block's end.
+def _cut_reasons(t, x, ends, lap, g, opts, sliding=None):
+    """Why blocks ended, read off the reference states at and after each block's end time.
 
     ``sliding``, the reference's sliding masks, tells a clipped selection too.
     """
     edges = dynamics._Stepper(lap, g, opts).edges
     reasons = set()
-    for i in np.searchsorted(t, [b[-1] for b in blocks]):
+    for i in np.searchsorted(t, ends):
         if x[i].max() - x[i].min() < opts.consensus_tol:
             reasons.add("consensus")
         elif i == len(t) - 1:
@@ -558,19 +565,19 @@ def _cut_reasons(t, x, blocks, lap, g, opts, sliding=None):
 ])
 def test_free_flight_matches_stepwise(monkeypatch, name, stride, reasons):
     graph, g, x0, opts = _free_flight_case(name)
-    blocks = _block_times(monkeypatch)
+    blocks, ends = _block_times(monkeypatch)
     run = simulate_fixed(graph, g, x0, opts, record_stride=stride)
     lap = laplacian(graph)
     t, x = assert_matches_stepwise(run, [(lap, opts.t_max)], g, x0, opts, stride)
     assert run.summary.free_flight_steps == sum(len(b) - 1 for b in blocks) > 0
-    assert reasons <= _cut_reasons(t, x, blocks, lap, g, opts)
+    assert reasons <= _cut_reasons(t, x, ends, lap, g, opts)
 
 
 def test_free_flight_across_switching_segments_matches_stepwise(monkeypatch, uj):
     proc = process_for_blinking(BlinkingModel(n=6, K=1, p=0.3, w=1.0), ConstantDuration(0.25))
     x0 = np.random.default_rng(22).uniform(-3, 3, 6)
     opts = SimOptions(dt=2e-3, t_max=10.0, consensus_tol=1e-4)
-    blocks = _block_times(monkeypatch)
+    blocks, _ = _block_times(monkeypatch)
     run = simulate_switching(proc, uj, x0, opts, seed=5, record_stride=3)
     schedule = sample_schedule(proc, opts.t_max, 5)[:run.summary.n_intervals]
     assert run.summary.consensus_reached and len(schedule) > 10
@@ -601,11 +608,31 @@ def test_to_csv_rejects_bad_stride(tmp_path, two_node, uj, stride):
         run.trajectory.to_csv(tmp_path / "traj.csv", stride=stride)
 
 
+def test_to_csv_streams_its_rows(tmp_path):
+    rows, n = 20_000, 12
+    x = np.random.default_rng(5).standard_normal((rows, n))
+    traj = dynamics.Trajectory(t=np.arange(rows) * 1e-3, x=x, gamma=x, sliding=x > 0,
+                               spread=x.max(axis=1) - x.min(axis=1))
+    tracemalloc.start()
+    try:
+        traj.to_csv(tmp_path / "traj.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 < (tmp_path / "traj.csv").stat().st_size
+    # every 6th row and the last one, each value the repr of its float
+    traj.to_csv(tmp_path / "strided.csv", stride=6)
+    header = "t," + ",".join(f"x_{i}" for i in range(n)) + ",V\n"
+    body = "".join(",".join(map(repr, [traj.t[k].item(), *x[k].tolist(), traj.spread[k].item()])) + "\n"
+                   for k in [*range(0, rows, 6), rows - 1])
+    assert (rows - 1) % 6 and (tmp_path / "strided.csv").read_text() == header + body
+
+
 def test_free_flight_hands_overflow_to_the_stepper(monkeypatch):
     # node 0 follows the fixed node 1 with dt = 10: x_0 <- -9 x_0 until it overflows
     lap = np.array([[1.0, -1.0], [0.0, 0.0]])
     x0, opts = np.array([1.0, 0.0]), SimOptions(dt=10.0, t_max=1e5)
-    blocks = _block_times(monkeypatch)
+    blocks, _ = _block_times(monkeypatch)
     with pytest.raises(IntegrationError) as err:
         simulate_fixed(WeightedDigraph.from_laplacian(lap), identity(), x0, opts)
     with pytest.raises(IntegrationError) as ref:
@@ -715,12 +742,12 @@ def _sliding_flight_case(name):
 ])
 def test_sliding_flight_matches_stepwise(monkeypatch, name, reasons):
     lap, g, x0, opts = _sliding_flight_case(name)
-    blocks = _block_times(monkeypatch, sliding=True)
+    blocks, ends = _block_times(monkeypatch, sliding=True)
     run = simulate_fixed(WeightedDigraph.from_laplacian(lap), g, x0, opts)
     t, x = assert_matches_stepwise(run, [(lap, opts.t_max)], g, x0, opts)
     s = run.summary
     assert s.sliding_flight_steps == sum(len(b) - 1 for b in blocks) > 500
-    assert reasons <= _cut_reasons(t, x, blocks, lap, g, opts, run.trajectory.sliding)
+    assert reasons <= _cut_reasons(t, x, ends, lap, g, opts, run.trajectory.sliding)
     if name == "midpoints":
         assert s.fallback_steps == s.steps  # midpoints in blocks count as fallbacks too
         assert check_sliding_velocity(run.trajectory, [(lap, opts.t_max)], g.breakpoint_xs) == 0
@@ -738,7 +765,7 @@ def test_an_unpinned_set_that_slides_flies_on_in_the_same_block(monkeypatch):
     # block's first step slides and pins it, and the block flies on from there
     lap, g, x0, opts = _sliding_flight_case("jump-at-1")
     x0 = x0 + np.array([3e-7, 0.0, 0.0, 0.0])
-    blocks = _block_times(monkeypatch, sliding=True)
+    blocks, _ = _block_times(monkeypatch, sliding=True)
     run = simulate_fixed(WeightedDigraph.from_laplacian(lap), g, x0, opts)
     t, x = assert_matches_stepwise(run, [(lap, opts.t_max)], g, x0, opts)
     assert blocks[0][0] == t[1] == opts.dt  # the first block went on after its first step
@@ -776,7 +803,7 @@ def test_sliding_flight_in_a_blinking_run_matches_stepwise(monkeypatch, uj):
     proc = process_for_blinking(BlinkingModel(n=12, K=0, p=0.15, w=0.2), UniformDuration(0.0, 1.0))
     x0 = np.random.default_rng(4).uniform(-2, 2, 12)
     opts = SimOptions(dt=5e-3, t_max=20.0, consensus_tol=1e-3)
-    blocks = _block_times(monkeypatch, sliding=True)
+    blocks, _ = _block_times(monkeypatch, sliding=True)
     run = simulate_switching(proc, uj, x0, opts, seed=4)
     s = run.summary
     segments = [(iv.lap, iv.t_end) for iv in sample_schedule(proc, opts.t_max, 4)[:s.n_intervals]]
@@ -791,7 +818,7 @@ def test_sliding_flight_across_switching_segments_matches_stepwise(monkeypatch, 
     proc = process_for_graph(random_strongly_connected(rng, 6), ConstantDuration(0.25))
     x0 = rng.uniform(-1, 1, 6)
     opts = SimOptions(dt=1e-3, t_max=5.0)
-    blocks = _block_times(monkeypatch, sliding=True)
+    blocks, _ = _block_times(monkeypatch, sliding=True)
     run = simulate_switching(proc, uj, x0, opts, seed=1)
     schedule = sample_schedule(proc, opts.t_max, 1)
     segments = [(iv.lap, iv.t_end) for iv in schedule]

@@ -50,6 +50,7 @@ def test_schedule_replay_is_identical():
     for sa, sb in zip(a, b):
         assert sa.t_start == sb.t_start and sa.t_end == sb.t_end
         np.testing.assert_array_equal(sa.graph.weights, sb.graph.weights)
+        np.testing.assert_array_equal(sa.lap, laplacian(sa.graph))
 
 
 def test_schedule_renewal_rate(fig1):
@@ -166,6 +167,16 @@ def test_switching_samples_only_the_intervals_it_reaches(fig1, uj):
     res = simulate_switching(proc, uj, x0, SimOptions(dt=1e-3, t_max=400.0), seed=4)
     assert res.summary.consensus_reached
     assert len(calls) == res.summary.n_intervals
+
+
+def test_switching_intervals_hold_graphs_only(uj):
+    proc = process_for_blinking(BlinkingModel(n=8, K=1, p=0.3, w=0.5), UniformDuration(0.0, 1.0))
+    x0 = np.random.default_rng(2).uniform(-1, 1, 8)
+    res = simulate_switching(proc, uj, x0, SimOptions(dt=1e-2, t_max=5.0), seed=9)
+    assert len(res.intervals) == len(res.reports) > 2
+    for interval, report in zip(res.intervals, res.reports):
+        assert not [v for v in vars(interval).values() if isinstance(v, np.ndarray)]
+        assert report.eta == scrambling_coefficient(-interval.lap)
 
 
 @pytest.mark.parametrize("name, x0, t_max", [
