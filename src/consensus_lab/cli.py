@@ -114,6 +114,8 @@ def load_config(path: str | Path, mode: str | None = None,
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    if not isinstance(raw.get("options", {}), dict):
+        raise ConfigError(f"options must be an object of simulation options, got {raw['options']!r}")
     for key, value in (overrides or {}).items():
         if value is not None:
             if key == "t_max":

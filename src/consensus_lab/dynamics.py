@@ -31,19 +31,19 @@ is one affine map: ``gamma = s*x + c`` with each component's piece slope ``s``
 and intercept ``c`` (``x + c`` when every slope is 1.0, so a free step is add,
 dot, scale, subtract), the banded entries replaced by ``K @ gamma_f`` (or the
 midpoints), then ``x - dt * (L @ gamma)`` on the unpinned components. The
-block takes them in one tight loop and keeps them up to the first state that
-changes its band-edge or piece index, leaves the state space, reaches the
-consensus tolerance or is an exact fixed point, and up to the first banded
-selection that is not strictly inside its jump interval; the next block starts
-there. The kept states are bit for bit those of single steps. The later steps
-count in ``free_flight_steps`` with no banded component and in
-``sliding_flight_steps`` otherwise: ``steps`` is their sum, plus
-``fixed_point_steps``, plus one per block.
+block takes them in one tight loop that only applies the map; one vectorized
+post-check then keeps them up to the first state that changes its band-edge or
+piece index, leaves the state space, repeats the one before bit for bit (an
+exact fixed point, which the next block's first step finds) or reaches the
+consensus tolerance, and up to the first banded selection that is not strictly
+inside its jump interval; the next block starts there. The kept states are bit
+for bit those of single steps. The later steps count in ``free_flight_steps``
+with no banded component and in ``sliding_flight_steps`` otherwise: ``steps``
+is their sum, plus ``fixed_point_steps``, plus one per block.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -113,21 +113,11 @@ class Disagreement(NamedTuple):
 
 
 def disagreement(x: np.ndarray) -> Disagreement:
-    """Componentwise max, min, and their difference (the disagreement V)."""
+    """Max, min and their difference (the disagreement V) as Python floats: V overflows to inf, unwarned."""
     x = np.asarray(x, dtype=float)
     vmax = float(x.max())
     vmin = float(x.min())
     return Disagreement(vmax, vmin, vmax - vmin)
-
-
-def _spread(x: np.ndarray) -> float:
-    """``x.max() - x.min()`` as Python floats: a diverging state gives inf, not an overflow warning."""
-    return float(x.max()) - float(x.min())
-
-
-def _check_stride(name: str, stride) -> None:
-    if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {stride!r}")
 
 
 @dataclass
@@ -148,18 +138,16 @@ class Trajectory:
     def sliding_set(self, k: int) -> tuple[int, ...]:
         return tuple(int(i) for i in np.flatnonzero(self.sliding[k]))
 
-    def to_csv(self, path: str | Path, stride: int = 1) -> None:
-        """Write ``t,x_0,...,x_{n-1},V`` rows at the given sample stride, and the last sample.
+    def to_csv(self, path: str | Path) -> None:
+        """Write one ``t,x_0,...,x_{n-1},V`` row per recorded sample: ``record_stride`` is the only stride.
 
         Rows go to the file one at a time, so writing holds no more than a row in memory.
         """
-        _check_stride("stride", stride)
-        last = len(self.t) - 1
         with open(path, "w") as f:
             f.write("t," + ",".join(f"x_{i}" for i in range(self.n)) + ",V\n")
             # tolist() gives Python floats, whose repr is the shortest round-trip form
             f.writelines(",".join(map(repr, [float(self.t[k]), *self.x[k].tolist(), float(self.spread[k])]))
-                         + "\n" for k in itertools.chain(range(0, last, stride), [last]))
+                         + "\n" for k in range(len(self.t)))
 
 
 class _Recorder:
@@ -360,10 +348,10 @@ class _Stepper:
         x1[sliding] = self.bxs[k[sliding] // 2]
         if not np.isfinite(x1).all():
             raise IntegrationError(f"state overflow at t={t}")
-        t1, e, prev = t + dt, 1, x1.tobytes()
+        t1, e = t + dt, 1
         times = np.array([t, t1])
         if (dt == self.opts.dt and t1 < t_end - tiny and t_end - t1 >= dt and g._all_affine
-                and prev != rows[0].tobytes() and (k1 == k).all()
+                and x1.tobytes() != rows[0].tobytes() and (k1 == k).all()
                 and np.count_nonzero(sliding) == np.count_nonzero(k & 1)):
             times, m = _grid(t, t_end, dt, tiny, length)
             bs, unit = self._banded_for(k), self._unit
@@ -372,7 +360,6 @@ class _Stepper:
             # the piece index, not k // 2: a continuity junction splits a band gap
             p0 = g._junctions.searchsorted(x1, side="left")
             s, c = g._slopes[p0], g._intercepts[p0]
-            e = m
             for j in range(1, m):
                 gamma = grows[j]
                 if unit:
@@ -385,17 +372,14 @@ class _Stepper:
                 np.dot(lap, gamma, v)
                 np.multiply(v, w, v)
                 np.subtract(rows[j], v, rows[j + 1])
-                cur = rows[j + 1].tobytes()
-                if cur == prev:  # a fixed point: the next block's first step finds it
-                    e = j
-                    break
-                prev = cur
-            new = self._block[2:e + 1]
+            e, new = m, self._block[2:m + 1]
             stop = ((self.edges.searchsorted(new, side="right") != k).any(axis=1)
                     | (g._junctions.searchsorted(new, side="left") != p0).any(axis=1)
-                    | ~np.isfinite(new).all(axis=1))
+                    | ~np.isfinite(new).all(axis=1)
+                    # an exact repeat, by bit pattern: == would equate -0.0 and 0.0
+                    | (new.view(np.uint64) == self._block[1:m].view(np.uint64)).all(axis=1))
             if bs is not None:  # a later step is not kept when its selection is clipped
-                gb = self._gammas[1:e, b]
+                gb = self._gammas[1:m, b]
                 stop |= ~((gb > bs.lo) & (gb < bs.hi)).all(axis=1)
             if stop.any():
                 e = int(stop.argmax()) + 1
@@ -464,7 +448,9 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
     the summary. Segments are taken one at a time and none after the run
     stops at consensus. ``g`` must already be validated.
     """
-    _check_stride("record_stride", record_stride)
+    if isinstance(record_stride, bool) or not isinstance(record_stride, numbers.Integral) \
+            or record_stride < 1:
+        raise ValueError(f"record_stride must be an integer >= 1, got {record_stride!r}")
     x = np.asarray(x0, dtype=float)
     rec = _Recorder(record_stride)
     taken: list[tuple[float, float, float]] = []
@@ -474,11 +460,11 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
     tiny = 1e-12 * max(1.0, opts.t_max)
     for lap, t_end in segments:
         stepper = _Stepper(lap, g, opts)
-        v_start = _spread(x)
+        v_start = disagreement(x).spread
         while True:
             if t >= t_end - tiny:
                 t = t_end
-            if time_to_tol is None and _spread(x) < opts.consensus_tol:
+            if time_to_tol is None and disagreement(x).spread < opts.consensus_tol:
                 time_to_tol = t
             if t == t_end or (stop_at_consensus and time_to_tol is not None):
                 break
@@ -503,7 +489,7 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
                 fallback_steps += fallback * m
                 continue
             t, x = float(times[-1]), states[-1].copy()
-        taken.append((v_start, _spread(x), t))
+        taken.append((v_start, disagreement(x).spread, t))
         if stop_at_consensus and time_to_tol is not None:
             break
     if not taken:
@@ -515,7 +501,7 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
     summary = RunSummary(
         consensus_reached=time_to_tol is not None,
         time_to_tol=time_to_tol,
-        final_disagreement=_spread(x),
+        final_disagreement=disagreement(x).spread,
         steps=steps,
         fallback_steps=fallback_steps,
         fixed_point_steps=fixed_point_steps,

@@ -206,13 +206,11 @@ def _sampling_window(piece: Piece, fallback_span: float = 10.0) -> tuple[float, 
 def validate_class_a(g: ClassAFunction) -> Violation | None:
     """First violated class-membership clause, or None when the function is admissible.
 
-    Clause 2 (strict increase on each piece) is exact for affine pieces and
-    sampled densely for callable ones; clause 3 requires every jump to be
-    upward.
+    Clause 1 (breakpoints sorted and distinct) holds by construction, since
+    ``ClassAFunction`` pieces are nonempty and contiguous. Clause 2 (strict
+    increase on each piece) is exact for affine pieces and sampled densely for
+    callable ones; clause 3 requires every jump to be upward.
     """
-    xs = g.breakpoint_xs
-    if len(xs) > 1 and (np.diff(xs) <= 0).any():
-        return Violation(1, "breakpoints", "breakpoints must be sorted and distinct")
     for piece in g.pieces:
         if isinstance(piece, AffinePiece):
             if piece.slope <= 0:
@@ -324,6 +322,14 @@ def _parse_bound(v) -> float:
     return float(v)
 
 
+def _piece_field(i: int, piece: dict, name: str, parse):
+    """``parse(piece[name])``; a ValueError naming piece ``i`` and the field if it cannot."""
+    try:
+        return parse(piece[name])
+    except (TypeError, ValueError):
+        raise ValueError(f"piece {i}: {name} {piece[name]!r} is not numeric") from None
+
+
 def from_config(spec: dict) -> ClassAFunction:
     """Build a coupling function from its config description.
 
@@ -340,8 +346,9 @@ def from_config(spec: dict) -> ClassAFunction:
     for i, p in enumerate(spec["pieces"]):
         if p.get("kind", "affine") != "affine":
             raise ValueError(f"piece {i}: only 'affine' pieces are supported in configs")
-        lo, hi = (_parse_bound(v) for v in p["interval"])
-        pieces.append(AffinePiece(lo, hi, float(p["slope"]), float(p["intercept"])))
+        lo, hi = _piece_field(i, p, "interval", lambda v: [_parse_bound(b) for b in v])
+        pieces.append(AffinePiece(lo, hi, _piece_field(i, p, "slope", float),
+                                  _piece_field(i, p, "intercept", float)))
     pieces.sort(key=lambda p: p.lo)
     g = ClassAFunction(pieces, name=spec.get("name"))
     for bp in spec.get("breakpoints", ()):

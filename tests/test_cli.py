@@ -257,6 +257,10 @@ _AFFINE = {"interval": ["-inf", "inf"], "kind": "affine"}
     ("durations", {"constant": "long"}, "durations.constant"),
     ("function", {"pieces": [{**_AFFINE, "intercept": 0.0}]}, "slope"),
     ("function", {"pieces": [{**_AFFINE, "slope": 1.0}]}, "intercept"),
+    ("function", {"pieces": [{**_AFFINE, "slope": "steep", "intercept": 0.0}]}, "slope"),
+    ("function", {"pieces": [{**_AFFINE, "slope": 1.0, "intercept": "x"}]}, "intercept"),
+    ("function", {"pieces": [{**_AFFINE, "interval": ["-inf", "x"], "slope": 1.0, "intercept": 0.0}]},
+     "interval"),
 ])
 def test_malformed_config_field_exits_2(bundle, tmp_path, capsys, key, value, field):
     cfg = {
@@ -273,6 +277,20 @@ def test_malformed_config_field_exits_2(bundle, tmp_path, capsys, key, value, fi
     assert main(["switching", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and field in err
+
+
+@pytest.mark.parametrize("override", [[], ["--t-max", "1"]])
+def test_non_object_options_exits_2(bundle, tmp_path, capsys, override):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({
+        "mode": "fixed",
+        "graph": {"edge_list": str(bundle / "graphs" / "fig1.edges")},
+        "function": {"preset": "unit-jump"},
+        "x0": {"values": [0.0, 1.0, 2.0, 3.0]},
+        "options": None,
+    }))
+    assert main(["fixed", "--config", str(p), "--out", str(tmp_path / "o"), *override]) == 2
+    assert "config error: options must be an object" in capsys.readouterr().err
 
 
 def test_seed_override_changes_x0(bundle, tmp_path):

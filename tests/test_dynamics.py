@@ -209,9 +209,10 @@ def test_finite_time_bound_rejects_bad_x0(two_node, uj, size):
 
 
 def test_trajectory_csv_format(tmp_path, two_node, uj):
-    run = simulate_fixed(two_node, uj, np.array([-1.0, 1.0]), SimOptions(dt=1e-2, t_max=1.0))
+    run = simulate_fixed(two_node, uj, np.array([-1.0, 1.0]), SimOptions(dt=1e-2, t_max=1.0),
+                         record_stride=5)
     path = tmp_path / "traj.csv"
-    run.trajectory.to_csv(path, stride=5)
+    run.trajectory.to_csv(path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x_0,x_1,V"
     first = [float(v) for v in lines[1].split(",")]
@@ -221,7 +222,7 @@ def test_trajectory_csv_format(tmp_path, two_node, uj):
     assert last[0] == pytest.approx(run.trajectory.t[-1])
 
 
-def test_trajectory_csv_matches_per_element_repr(tmp_path):
+def test_trajectory_csv_matches_per_element_repr(tmp_path, two_node, uj):
     # the row formatter must print each float as repr(float(v)) does
     specials = [0.0, -0.0, np.inf, -np.inf, 5e-324, -2.2250738585072e-308, 0.1 + 0.2,
                 1 / 3, -123456789.12345678, 1e16, 2.0**-1074 * 3, 9007199254740993.0]
@@ -231,14 +232,20 @@ def test_trajectory_csv_matches_per_element_repr(tmp_path):
     t = np.arange(len(x)) * 0.1
     traj = dynamics.Trajectory(t=t, x=x, gamma=x.copy(), sliding=np.zeros(x.shape, dtype=bool),
                                spread=x.max(axis=1) - x.min(axis=1))
-    for stride in (1, 3):
-        path = tmp_path / f"traj{stride}.csv"
-        traj.to_csv(path, stride=stride)
-        idx = list(range(0, len(t), stride))
-        idx += [len(t) - 1] if idx[-1] != len(t) - 1 else []
-        lines = ["t,x_0,x_1,V"] + [",".join(repr(float(v)) for v in (t[k], *x[k], traj.spread[k]))
-                                   for k in idx]
-        assert path.read_text() == "\n".join(lines) + "\n"
+    traj.to_csv(tmp_path / "traj.csv")
+    lines = ["t,x_0,x_1,V"] + [",".join(repr(float(v)) for v in (t[k], *x[k], traj.spread[k]))
+                               for k in range(len(t))]
+    assert (tmp_path / "traj.csv").read_text() == "\n".join(lines) + "\n"
+    # a record_stride run writes every k-th row of the stride-1 run and its last one
+    files = {}
+    for stride in (1, 3, 6):
+        run = simulate_fixed(two_node, uj, np.array([-1.0, 1.0]), SimOptions(dt=1e-2, t_max=1.0),
+                             record_stride=stride)
+        run.trajectory.to_csv(tmp_path / f"run{stride}.csv")
+        files[stride] = (tmp_path / f"run{stride}.csv").read_text().splitlines()
+    header, *body = files[1]
+    for stride in (3, 6):
+        assert (len(body) - 1) % stride and files[stride] == [header, *body[:-1:stride], body[-1]]
 
 
 def test_simulate_rejects_bad_x0(two_node, uj):
@@ -506,9 +513,10 @@ def _free_flight_case(name):
             SimOptions(dt=2e-3, t_max=30.0, band=1e-2)
     if name == "continuity-junction":
         return tree, _continuity_function(), rng.uniform(-1.0, 2.0, 6), SimOptions(dt=2e-3, t_max=30.0)
-    # no jump: the middle nodes settle on an exact fixed point at 1.5 in free flight
-    return fig4_graph(), identity(), np.array([1.0, 1.0, 0.3, 0.2, 2.0, 2.0]), \
-        SimOptions(dt=1e-2, t_max=30.0)
+    # no jump: the middle nodes settle on an exact fixed point in free flight, with
+    # g = x on the unit-slope path and g = 2x on the general affine one
+    g = identity() if name == "fixed-point" else ClassAFunction((AffinePiece(-np.inf, np.inf, 2.0, 0.0),))
+    return fig4_graph(), g, np.array([1.0, 1.0, 0.3, 0.2, 2.0, 2.0]), SimOptions(dt=1e-2, t_max=30.0)
 
 
 def _block_times(monkeypatch, sliding=False):
@@ -562,6 +570,7 @@ def _cut_reasons(t, x, ends, lap, g, opts, sliding=None):
     ("two-jump", 1, {"band"}),
     ("continuity-junction", 1, {"piece"}),
     ("fixed-point", 1, {"fixed point"}),
+    ("fixed-point-slope-2", 1, {"fixed point"}),
 ])
 def test_free_flight_matches_stepwise(monkeypatch, name, stride, reasons):
     graph, g, x0, opts = _free_flight_case(name)
@@ -601,13 +610,6 @@ def test_integrate_rejects_no_segments(uj):
         dynamics.integrate([], uj, np.zeros(2), SimOptions())
 
 
-@pytest.mark.parametrize("stride", [0, 2.5, True])
-def test_to_csv_rejects_bad_stride(tmp_path, two_node, uj, stride):
-    run = simulate_fixed(two_node, uj, np.array([-1.0, 1.0]), SimOptions(dt=1e-2, t_max=0.1))
-    with pytest.raises(ValueError, match="stride must be an integer >= 1"):
-        run.trajectory.to_csv(tmp_path / "traj.csv", stride=stride)
-
-
 def test_to_csv_streams_its_rows(tmp_path):
     rows, n = 20_000, 12
     x = np.random.default_rng(5).standard_normal((rows, n))
@@ -620,12 +622,11 @@ def test_to_csv_streams_its_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20 < (tmp_path / "traj.csv").stat().st_size
-    # every 6th row and the last one, each value the repr of its float
-    traj.to_csv(tmp_path / "strided.csv", stride=6)
+    # one row per sample, each value the repr of its float
     header = "t," + ",".join(f"x_{i}" for i in range(n)) + ",V\n"
     body = "".join(",".join(map(repr, [traj.t[k].item(), *x[k].tolist(), traj.spread[k].item()])) + "\n"
-                   for k in [*range(0, rows, 6), rows - 1])
-    assert (rows - 1) % 6 and (tmp_path / "strided.csv").read_text() == header + body
+                   for k in range(rows))
+    assert (tmp_path / "traj.csv").read_text() == header + body
 
 
 def test_free_flight_hands_overflow_to_the_stepper(monkeypatch):
