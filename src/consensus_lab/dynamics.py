@@ -21,25 +21,36 @@ produced trajectories can be checked against the set-valued semantics.
 stepping routine; the public ``step`` is a block of one step. The loop steps
 through segments of constant Laplacian: a switching schedule is a sequence of
 them, a fixed topology a single one. Once a full-length step returns its input
-bit for bit, the rest of the segment replays only the time grid, in vectorized
-chunks.
+bit for bit, the segment's later full-length steps replay only the time grid,
+in vectorized chunks; a short last step is taken as a block. The replay covers
+full-length steps only: a short step is computed differently from a full free
+one, so it need not round back to x.
 
-Blocks: a block's first step is the general one. When every piece of g is
-affine and that step was full length, moved x, kept its band-edge index and
-left every banded component sliding, pinned on its abscissa, each later step
-is one affine map: ``gamma = s*x + c`` with each component's piece slope ``s``
-and intercept ``c`` (``x + c`` when every slope is 1.0, so a free step is add,
-dot, scale, subtract), the banded entries replaced by ``K @ gamma_f`` (or the
-midpoints), then ``x - dt * (L @ gamma)`` on the unpinned components. The
-block takes them in one tight loop that only applies the map; one vectorized
-post-check then keeps them up to the first state that changes its band-edge or
-piece index, leaves the state space, repeats the one before bit for bit (an
-exact fixed point, which the next block's first step finds) or reaches the
-consensus tolerance, and up to the first banded selection that is not strictly
-inside its jump interval; the next block starts there. The kept states are bit
-for bit those of single steps. The later steps count in ``free_flight_steps``
-with no banded component and in ``sliding_flight_steps`` otherwise: ``steps``
-is their sum, plus ``fixed_point_steps``, plus one per block.
+Free steps: when every piece of g is affine, a step with no banded component
+is one affine map, ``x - B @ [x; 1]`` with ``B = dt * [L diag(s) | L c]`` for
+each component's piece slope ``s`` and intercept ``c``: one dot and one
+subtract. ``B`` is built once per piece-index vector and kept for the last one
+seen. A block's first step, and so the public ``step``, takes the map when
+it is full length and passes no whole band; every other step (capped, short,
+banded or with a callable piece) is ``x - dt * (L @ gamma)`` on the selection.
+
+Blocks: when every piece of g is affine and a block's first step was full
+length, moved x, kept its band-edge index and left every banded component
+sliding, pinned on its abscissa, each later step is one affine map. With no
+banded component it is the map above, and the kept steps' selections, ``s*x +
+c`` as ``g.values`` computes them, follow the loop. Otherwise ``gamma = s*x +
+c`` (``x + c`` when every slope is 1.0) has its banded entries replaced by
+``K @ gamma_f`` (or the midpoints), then ``x - dt * (L @ gamma)`` moves the
+unpinned components. The block takes them in one tight loop that only applies
+the map; one vectorized post-check then keeps them up to the first state that
+changes its band-edge or piece index, leaves the state space, repeats the one
+before bit for bit (an exact fixed point, which the next block's first step
+finds) or reaches the consensus tolerance, and up to the first banded
+selection that is not strictly inside its jump interval; the next block starts
+there. The kept states are bit for bit those of single steps. The later steps
+count in ``free_flight_steps`` with no banded component and in
+``sliding_flight_steps`` otherwise: ``steps`` is their sum, plus
+``fixed_point_steps``, plus one per block.
 """
 
 from __future__ import annotations
@@ -63,10 +74,11 @@ from .graph import (
 from .protocol import ClassAFunction, validated
 
 # Block length in steps: it halves after a block that was cut and doubles
-# after one that ran to its end, within these limits. The state rows of one
-# block hold at most _BLOCK_ELEMENTS floats (32 KiB), as do its selection rows
-# and the time grid of one fixed-point replay chunk. A block is cut only after
-# it is computed, so a longer one wastes more steps at its cut.
+# after one that ran to its end, within these limits. The states of one block
+# hold at most _BLOCK_ELEMENTS floats (32 KiB) besides their column of ones, as
+# do its selection rows and the time grid of one fixed-point replay chunk. A
+# block is cut only after it is computed, so a longer one wastes more steps at
+# its cut.
 _BLOCK_MIN_STEPS = 8
 _BLOCK_ELEMENTS = 1 << 12
 
@@ -96,8 +108,9 @@ class SimOptions:
 
     def __post_init__(self) -> None:
         for name in ("dt", "band", "consensus_tol", "t_max"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -191,18 +204,18 @@ class _Recorder:
         self._record(t, x[keep].copy(), gamma[keep].copy(), sliding[None].repeat(len(t), axis=0))
 
     def replay(self, t: float, t_end: float, dt: float, tiny: float, x, gamma, sliding):
-        """Records each step from the fixed point ``x`` to ``t_end``; no step moves x.
+        """Records each full-length step from the fixed point ``x`` towards ``t_end``; none moves x.
 
-        The times are those of ``t += min(dt, t_end - t)`` while ``t < t_end - tiny``:
-        the full steps in chunks of at most ``_BLOCK_ELEMENTS`` grid times, then
-        the short last step. Returns the time reached and the step count.
+        The times are those of ``t += dt`` while ``t < t_end - tiny`` and a whole
+        ``dt`` is left, in chunks of at most ``_BLOCK_ELEMENTS`` grid times; a
+        short last step is not replayed. Returns the time reached and the step count.
         """
         rows = x.copy(), gamma.copy(), sliding.copy()
         steps = 0
         while t < t_end - tiny:
             times, m = _grid(t, t_end, dt, tiny, min(_BLOCK_ELEMENTS, int((t_end - t) / dt) + 1))
-            if m == 0:  # less than dt is left: the short last step
-                times, m = np.array([t, t + (t_end - t)]), 1
+            if m == 0:  # less than dt is left
+                break
             kept = times[:m][self._keep(m)].copy()
             self._record(kept, *(np.broadcast_to(row, (len(kept), len(row))) for row in rows))
             t = float(times[m])
@@ -253,6 +266,7 @@ class _Stepper:
         self._block_len = _BLOCK_MIN_STEPS  # steps the next block tries
         self._block = None  # its state rows, allocated at the first block
         self._banded_key = self._banded = None  # the last k.tobytes() and its _banded_set
+        self._map_key = self._map = None  # the last piece-index p.tobytes() and its _map_for
 
     def _banded_set(self, k: np.ndarray) -> _BandedSet:
         """The selection structure at band-edge index ``k``, which has a banded component.
@@ -304,18 +318,34 @@ class _Stepper:
             sliding[bs.b] = (sol > bs.lo) & (sol < bs.hi)
         return gamma, sliding, fallback
 
+    def _map_for(self, p: np.ndarray) -> np.ndarray:
+        """``B = dt * [L diag(s_p) | L c_p]`` at piece-index vector ``p``, kept for the last ``p`` seen.
+
+        A full free step from ``x`` is ``x - B @ [x; 1]``: ``x - dt * (L @ g(x))``
+        to rounding, for each component's piece slope ``s`` and intercept ``c``.
+        """
+        key = p.tobytes()
+        if key != self._map_key:
+            lap, g = self.lap, self.g
+            self._map_key, self._map = key, self.opts.dt * np.column_stack((lap * g._slopes[p],
+                                                                            lap @ g._intercepts[p]))
+        return self._map
+
     @np.errstate(over="ignore", invalid="ignore")  # the finiteness checks catch an overflow
     def block(self, x: np.ndarray, k: np.ndarray, t: float, cap: float, t_end: float,
               tiny: float, consensus_tol: float | None):
         """A block of steps from ``x``, whose band-edge index is ``k``; see the module docstring.
 
-        The first step is at most ``cap`` long: the selection at ``x``, ``v = L @
-        gamma``, then ``x - v*w`` with ``w = dt`` but 0 on the sliding components,
-        which are pinned on their abscissas. ``dt`` is first shortened so that
-        no component passes a whole band it is not in: the first to reach one
-        lands on its abscissa. The later steps follow the grid of full steps
-        towards ``t_end``, none from within ``tiny`` of it, and the first state
-        that reaches ``consensus_tol`` (None: not looked for) ends the block.
+        The first step is at most ``cap`` long. A full-length step of an
+        all-affine g with no banded component is ``x - B @ [x; 1]``, unless it
+        passes a whole band. Otherwise it is the selection at ``x``, ``v = L @
+        gamma``, then ``x - v*w`` with ``w = dt`` but 0 on the sliding
+        components, which are pinned on their abscissas. ``dt`` is first
+        shortened so that no component passes a whole band it is not in: the
+        first to reach one lands on its abscissa. The later steps follow the
+        grid of full steps towards ``t_end``, none from within ``tiny`` of it,
+        and the first state that reaches ``consensus_tol`` (None: not looked
+        for) ends the block.
 
         Returns the times and states of the block, start included, the
         selection of each step, the sliding mask that every step shares,
@@ -326,65 +356,80 @@ class _Stepper:
             raise ValueError("step size collapsed to zero")
         g, lap, n, length = self.g, self.lap, len(x), self._block_len
         if self._block is None or len(self._block) <= length:
-            self._block, self._gammas = np.empty((length + 1, n)), np.empty((length, n))
-            self._rows, self._grows, self._v = list(self._block), list(self._gammas), np.empty(n)
-        rows, grows, v = self._rows, self._grows, self._v
+            # rows [x, 1], so that the map's last column adds its constant term
+            self._block, self._gammas = np.ones((length + 1, n + 1)), np.empty((length, n))
+            self._rows, self._v = list(self._block), np.empty(n)
+            self._xrows = [row[:n] for row in self._rows]
+        rows, xrows, v = self._rows, self._xrows, self._v
+        states = self._block[:, :n]
         gamma, sliding, fallback = self.selection(x, k)
-        rows[0][:], grows[0][:] = x, gamma
-        np.dot(lap, gamma, v)  # 0.5 us less than matmul
-        w = np.full(n, dt)
-        w[sliding] = 0.0
-        x1 = rows[1]
-        np.subtract(x, v * w, x1)  # x + dt*(-v) bit for bit: negation is exact
-        k1 = self.edges.searchsorted(x1, side="right")
-        crossed = np.abs(k1 - k) > 1 + (k & 1)
-        if np.count_nonzero(crossed):
-            kc, vc = k[crossed], v[crossed]
-            b = self.bxs[np.where(vc < 0, (kc + 1) // 2, kc // 2 - 1)]
-            dt = min(dt, float(((x[crossed] - b) / vc).min()))
-            np.minimum(w, dt, out=w)
-            np.subtract(x, v * w, x1)
+        xrows[0][:], self._gammas[0] = x, gamma
+        x1 = xrows[1]
+        free = dt == self.opts.dt and g._all_affine and not np.count_nonzero(k & 1)
+        if free:
+            self._map_for(g._junctions.searchsorted(x, side="left")).dot(rows[0], v)
+            np.subtract(x, v, x1)
             k1 = self.edges.searchsorted(x1, side="right")
-        x1[sliding] = self.bxs[k[sliding] // 2]
+            free = not np.count_nonzero(np.abs(k1 - k) > 1)  # a whole band passed: redone, capped
+        if not free:
+            np.dot(lap, gamma, v)  # 0.5 us less than matmul
+            w = np.full(n, dt)
+            w[sliding] = 0.0
+            np.subtract(x, v * w, x1)  # x + dt*(-v) bit for bit: negation is exact
+            k1 = self.edges.searchsorted(x1, side="right")
+            crossed = np.abs(k1 - k) > 1 + (k & 1)
+            if np.count_nonzero(crossed):
+                kc, vc = k[crossed], v[crossed]
+                b = self.bxs[np.where(vc < 0, (kc + 1) // 2, kc // 2 - 1)]
+                dt = min(dt, float(((x[crossed] - b) / vc).min()))
+                np.minimum(w, dt, out=w)
+                np.subtract(x, v * w, x1)
+                k1 = self.edges.searchsorted(x1, side="right")
+            x1[sliding] = self.bxs[k[sliding] // 2]
         if not np.isfinite(x1).all():
             raise IntegrationError(f"state overflow at t={t}")
         t1, e = t + dt, 1
         times = np.array([t, t1])
         if (dt == self.opts.dt and t1 < t_end - tiny and t_end - t1 >= dt and g._all_affine
-                and x1.tobytes() != rows[0].tobytes() and (k1 == k).all()
+                and x1.tobytes() != xrows[0].tobytes() and (k1 == k).all()
                 and np.count_nonzero(sliding) == np.count_nonzero(k & 1)):
             times, m = _grid(t, t_end, dt, tiny, length)
             bs, unit = self._banded_for(k), self._unit
-            if bs is not None:
-                b, f, op = bs.b, bs.f, bs.op
             # the piece index, not k // 2: a continuity junction splits a band gap
             p0 = g._junctions.searchsorted(x1, side="left")
             s, c = g._slopes[p0], g._intercepts[p0]
-            for j in range(1, m):
-                gamma = grows[j]
-                if unit:
-                    np.add(rows[j], c, gamma)  # positional out: a keyword costs 10%
-                else:
-                    np.multiply(s, rows[j], gamma)
-                    np.add(gamma, c, gamma)
-                if bs is not None:
+            if bs is None:  # free flight: one dot and one subtract a step
+                # the bound dot is np.dot without its dispatch: 0.2 us less a step
+                dot, subtract = self._map_for(p0).dot, np.subtract
+                for j in range(1, m):
+                    dot(rows[j], v)
+                    subtract(xrows[j], v, xrows[j + 1])
+            else:
+                b, f, op = bs.b, bs.f, bs.op
+                for j in range(1, m):
+                    gamma = self._gammas[j]
+                    if unit:
+                        np.add(xrows[j], c, gamma)  # positional out: a keyword costs 10%
+                    else:
+                        np.multiply(s, xrows[j], gamma)
+                        np.add(gamma, c, gamma)
                     gamma[b] = bs.mid if op is None else op @ gamma[f]
-                np.dot(lap, gamma, v)
-                np.multiply(v, w, v)
-                np.subtract(rows[j], v, rows[j + 1])
-            e, new = m, self._block[2:m + 1]
+                    np.dot(lap, gamma, v)
+                    np.multiply(v, w, v)
+                    np.subtract(xrows[j], v, xrows[j + 1])
+            e, new = m, states[2:m + 1]
             stop = ((self.edges.searchsorted(new, side="right") != k).any(axis=1)
                     | (g._junctions.searchsorted(new, side="left") != p0).any(axis=1)
                     | ~np.isfinite(new).all(axis=1)
                     # an exact repeat, by bit pattern: == would equate -0.0 and 0.0
-                    | (new.view(np.uint64) == self._block[1:m].view(np.uint64)).all(axis=1))
+                    | (new.view(np.uint64) == states[1:m].view(np.uint64)).all(axis=1))
             if bs is not None:  # a later step is not kept when its selection is clipped
                 gb = self._gammas[1:m, b]
                 stop |= ~((gb > bs.lo) & (gb < bs.hi)).all(axis=1)
             if stop.any():
                 e = int(stop.argmax()) + 1
             if consensus_tol is not None:
-                kept = self._block[1:e + 1]
+                kept = states[1:e + 1]
                 reached = kept.max(axis=1) - kept.min(axis=1) < consensus_tol
                 if reached.any():
                     e = int(reached.argmax()) + 1
@@ -392,7 +437,11 @@ class _Stepper:
                 self._block_len = max(_BLOCK_MIN_STEPS, length // 2)
             elif m == length:
                 self._block_len = min(2 * length, max(_BLOCK_MIN_STEPS, _BLOCK_ELEMENTS // n))
-        return times[:e + 1], self._block[:e + 1], self._gammas[:e], sliding, fallback, dt
+            if bs is None:  # the kept free steps' selections, as g.values computes them
+                gs = self._gammas[1:e]
+                np.multiply(s, states[1:e], gs)
+                np.add(gs, c, gs)
+        return times[:e + 1], states[:e + 1], self._gammas[:e], sliding, fallback, dt
 
 
 @dataclass(frozen=True)
@@ -479,10 +528,10 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
                 sliding_flight_steps += e - 1
             else:
                 free_flight_steps += e - 1
-            if e == 1 and dt == min(opts.dt, t_end - t) and states[1].tobytes() == x.tobytes():
-                # A step is a function of x and of a cap that only shrinks, and a
-                # shorter step from x rounds back to x too: every later step of
-                # this segment returns x with the same selection. Replay the grid.
+            if e == 1 and dt == opts.dt and states[1].tobytes() == x.tobytes():
+                # A full-length step is a function of x alone: every later one of
+                # this segment returns x with the same selection. Replay them; a
+                # short last step is the next block's.
                 t, m = rec.replay(float(times[1]), t_end, opts.dt, tiny, x, gamma[0], sliding)
                 steps += m
                 fixed_point_steps += m

@@ -322,12 +322,18 @@ def _parse_bound(v) -> float:
     return float(v)
 
 
-def _piece_field(i: int, piece: dict, name: str, parse):
-    """``parse(piece[name])``; a ValueError naming piece ``i`` and the field if it cannot."""
+def _parse_interval(v) -> tuple[float, float]:
+    """The bounds of ``[lo, hi]``; a ValueError for other than two."""
+    lo, hi = (_parse_bound(b) for b in v)
+    return lo, hi
+
+
+def _field(where: str, value, parse=float, what: str = "numeric"):
+    """``parse(value)``; a ValueError naming the field ``where`` if it cannot."""
     try:
-        return parse(piece[name])
+        return parse(value)
     except (TypeError, ValueError):
-        raise ValueError(f"piece {i}: {name} {piece[name]!r} is not numeric") from None
+        raise ValueError(f"{where} {value!r} is not {what}") from None
 
 
 def from_config(spec: dict) -> ClassAFunction:
@@ -346,13 +352,14 @@ def from_config(spec: dict) -> ClassAFunction:
     for i, p in enumerate(spec["pieces"]):
         if p.get("kind", "affine") != "affine":
             raise ValueError(f"piece {i}: only 'affine' pieces are supported in configs")
-        lo, hi = _piece_field(i, p, "interval", lambda v: [_parse_bound(b) for b in v])
-        pieces.append(AffinePiece(lo, hi, _piece_field(i, p, "slope", float),
-                                  _piece_field(i, p, "intercept", float)))
+        lo, hi = _field(f"piece {i}: interval", p["interval"], _parse_interval, "a pair of numeric bounds")
+        pieces.append(AffinePiece(lo, hi, _field(f"piece {i}: slope", p["slope"]),
+                                  _field(f"piece {i}: intercept", p["intercept"])))
     pieces.sort(key=lambda p: p.lo)
     g = ClassAFunction(pieces, name=spec.get("name"))
-    for bp in spec.get("breakpoints", ()):
-        declared = Breakpoint(float(bp["x"]), float(bp["left"]), float(bp["right"]))
+    for j, bp in enumerate(spec.get("breakpoints", ())):
+        declared = Breakpoint(*(_field(f"breakpoints[{j}].{key}", bp[key])
+                                for key in ("x", "left", "right")))
         match = [b for b in g.breakpoints if b.x == declared.x]
         if not match:
             raise ValueError(f"declared breakpoint at {declared.x} is not a junction of the pieces")

@@ -179,6 +179,11 @@ def check_interval_decay(reports, dt, slack_factor=10.0):
         )
 
 
+def euler_step(x, lap, g, dt):
+    """One explicit Euler step of x' = -L g(x), with g evaluated off its jumps."""
+    return x - dt * (lap @ g.values(x))
+
+
 def stepwise_reference(segments, g, x0, opts, stop_at_consensus=True):
     """Every state of a run, taken with one public ``step`` call per step.
 

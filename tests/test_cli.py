@@ -247,6 +247,8 @@ def test_x0_length_mismatch(bundle, tmp_path):
 
 
 _AFFINE = {"interval": ["-inf", "inf"], "kind": "affine"}
+_JUMP = {"pieces": [{"interval": ["-inf", 0.0], "slope": 1.0, "intercept": 0.0},
+                    {"interval": [0.0, "inf"], "slope": 1.0, "intercept": 1.0}]}
 
 
 @pytest.mark.parametrize("key, value, field", [
@@ -261,6 +263,11 @@ _AFFINE = {"interval": ["-inf", "inf"], "kind": "affine"}
     ("function", {"pieces": [{**_AFFINE, "slope": 1.0, "intercept": "x"}]}, "intercept"),
     ("function", {"pieces": [{**_AFFINE, "interval": ["-inf", "x"], "slope": 1.0, "intercept": 0.0}]},
      "interval"),
+    ("function", {"pieces": [{**_AFFINE, "interval": ["-inf", 0, "inf"], "slope": 1.0, "intercept": 0.0}]},
+     "piece 0: interval"),
+    ("function", {**_JUMP, "breakpoints": [{"x": "zero", "left": 0.0, "right": 1.0}]}, "breakpoints[0].x"),
+    ("function", {**_JUMP, "breakpoints": [{"x": 0.0, "left": "low", "right": 1.0}]}, "breakpoints[0].left"),
+    ("function", {**_JUMP, "breakpoints": [{"x": 0.0, "left": 0.0, "right": [1.0]}]}, "breakpoints[0].right"),
 ])
 def test_malformed_config_field_exits_2(bundle, tmp_path, capsys, key, value, field):
     cfg = {
@@ -277,6 +284,21 @@ def test_malformed_config_field_exits_2(bundle, tmp_path, capsys, key, value, fi
     assert main(["switching", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and field in err
+
+
+@pytest.mark.parametrize("text", ["null", "[]", "3", '"fixed"'])
+def test_non_object_config_exits_2(tmp_path, capsys, text):
+    p = tmp_path / "c.json"
+    p.write_text(text)
+    assert main(["fixed", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: config must be a JSON object" in capsys.readouterr().err
+
+
+def test_infinite_t_max_exits_2(bundle, tmp_path, capsys):
+    # with t_max = inf, t_end - tiny is NaN and the step loop would never end
+    assert main(["fixed", "--config", str(bundle / "fig4-nonconsensus.json"),
+                 "--out", str(tmp_path / "o"), "--t-max", "inf"]) == 2
+    assert "config error: t_max must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("override", [[], ["--t-max", "1"]])

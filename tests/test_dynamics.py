@@ -36,6 +36,7 @@ from helpers import (
     check_shrinking,
     check_sliding_velocity,
     check_wra_conservation,
+    euler_step,
     random_strongly_connected,
     stepwise_reference,
 )
@@ -269,6 +270,50 @@ def test_simoptions_validation():
         SimOptions(t_max=-1)
 
 
+@pytest.mark.parametrize("name", ["dt", "band", "consensus_tol", "t_max"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_simoptions_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        SimOptions(**{name: value})
+
+
+def _sloped_jump():
+    # slopes 2 and 0.5 on either side of a unit jump at 0
+    return ClassAFunction((AffinePiece(-np.inf, 0.0, 2.0, 0.0), AffinePiece(0.0, np.inf, 0.5, 1.0)))
+
+
+@pytest.mark.parametrize("g", [unit_jump(), _sloped_jump()], ids=["unit-jump", "sloped-jump"])
+def test_free_full_steps_are_euler_steps_to_rounding(g):
+    """Free full-length steps, single and in a stride-1 run, against ``euler_step``."""
+    rng = np.random.default_rng(41)
+    opts = SimOptions(dt=1e-2, t_max=2.0)
+    eps = np.finfo(float).eps
+    steps = rows = 0
+
+    def assert_euler(x, x_next, lap):
+        bound = 8 * eps * (np.abs(x) + opts.dt * np.abs(lap).sum(axis=1).max() * np.abs(g.values(x)).max())
+        assert (np.abs(x_next - euler_step(x, lap, g, opts.dt)) <= bound).all()
+
+    for n in range(2, 9):
+        graph = random_strongly_connected(rng, n)
+        lap = laplacian(graph)
+        for _ in range(5):  # off the bands: at least 0.1 from the jump
+            x = rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 3.0, n)
+            res = step(State(0.0, x), lap, g, opts)
+            if res.dt == opts.dt:
+                assert not res.sliding_set
+                assert_euler(x, res.state.x, lap)
+                steps += 1
+        x0 = rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 3.0, n)
+        traj = simulate_fixed(graph, g, x0, opts, stop_at_consensus=False).trajectory
+        edges = dynamics._Stepper(lap, g, opts).edges
+        free = ~(edges.searchsorted(traj.x[:-1], side="right") & 1).any(axis=1)
+        for i in np.flatnonzero(free & (traj.t[1:] == traj.t[:-1] + opts.dt)):
+            assert_euler(traj.x[i], traj.x[i + 1], lap)
+            rows += 1
+    assert steps > 20 and rows > 1000
+
+
 def test_identity_coupling_is_plain_euler():
     # No breakpoint: every step is x <- x - dt L x. dt = 1/64 keeps every t exact.
     rng = np.random.default_rng(12)
@@ -381,7 +426,7 @@ def assert_matches_stepwise(run, segments, g, x0, opts, stride=1, stop_at_consen
 
 @pytest.mark.parametrize("t_max, stride", [(5.0, 1), (5.0, 7), (5.0037, 1)])
 def test_fixed_point_fast_forward_matches_stepwise(fig4, uj, t_max, stride):
-    # 5.0037 is no multiple of dt: the short last step falls inside the replay
+    # 5.0037 is no multiple of dt: the short last step follows the replay
     opts = SimOptions(dt=1e-3, t_max=t_max)
     run = simulate_fixed(fig4, uj, FIG4_X0, opts, record_stride=stride)
     assert not run.summary.consensus_reached
@@ -443,14 +488,14 @@ def test_fixed_point_fast_forward_skips_the_stepper(fig4, uj, monkeypatch):
 
 
 def _scalar_replay(rec, t, t_end, dt, tiny, x, gamma, sliding):
-    """The replay as one single-step block per step; also tells whether a step was short."""
-    steps, short = 0, False
-    while t < t_end - tiny:
+    """The replay as one single-step block per full-length step; also tells whether it
+    stopped before a short step, which is not replayed."""
+    steps = 0
+    while t < t_end - tiny and t_end - t >= dt:
         rec.add_block(np.array([t]), x[None], gamma[None], sliding)
-        short = short or t_end - t < dt
-        t += min(dt, t_end - t)
+        t += dt
         steps += 1
-    return t, steps, short
+    return t, steps, t < t_end - tiny
 
 
 @pytest.mark.parametrize("case", ["within-tiny", "multiple", "short", "chunks"])
@@ -481,7 +526,8 @@ def test_replay_matches_the_scalar_loop(case):
         for name in ("t", "x", "gamma", "sliding", "spread"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert {"within-tiny": steps == 0, "multiple": steps >= k, "short": short,
+        # summed dt can fall short of k * dt, leaving the k-th step short
+        assert {"within-tiny": steps == 0, "multiple": steps + short >= k, "short": short,
                 "chunks": short and steps > 3 * dynamics._BLOCK_ELEMENTS}[case]
 
 
@@ -490,7 +536,7 @@ def test_fixed_point_replay_over_chunks_matches_stepwise(fig4, uj):
     run = simulate_fixed(fig4, uj, FIG4_X0, opts, record_stride=7)
     t, _ = assert_matches_stepwise(run, [(laplacian(fig4), opts.t_max)], uj, FIG4_X0, opts, 7)
     assert run.summary.fixed_point_steps > 3 * dynamics._BLOCK_ELEMENTS
-    assert t[-1] - t[-2] < opts.dt  # the replay ends in a short step
+    assert t[-1] - t[-2] < opts.dt  # the run ends in a short step, taken after the replay
 
 
 def _continuity_function():
