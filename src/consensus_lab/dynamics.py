@@ -23,34 +23,31 @@ through segments of constant Laplacian: a switching schedule is a sequence of
 them, a fixed topology a single one. Once a full-length step returns its input
 bit for bit, the segment's later full-length steps replay only the time grid,
 in vectorized chunks; a short last step is taken as a block. The replay covers
-full-length steps only: a short step is computed differently from a full free
-one, so it need not round back to x.
+full-length steps only: a short step is computed differently from a full one,
+so it need not round back to x.
 
-Free steps: when every piece of g is affine, a step with no banded component
-is one affine map, ``x - B @ [x; 1]`` with ``B = dt * [L diag(s) | L c]`` for
-each component's piece slope ``s`` and intercept ``c``: one dot and one
-subtract. ``B`` is built once per piece-index vector and kept for the last one
-seen. A block's first step, and so the public ``step``, takes the map when
-it is full length and passes no whole band; every other step (capped, short,
-banded or with a callable piece) is ``x - dt * (L @ gamma)`` on the selection.
-
-Blocks: when every piece of g is affine and a block's first step was full
-length, moved x, kept its band-edge index and left every banded component
-sliding, pinned on its abscissa, each later step is one affine map. With no
-banded component it is the map above, and the kept steps' selections, ``s*x +
-c`` as ``g.values`` computes them, follow the loop. Otherwise ``gamma = s*x +
-c`` (``x + c`` when every slope is 1.0) has its banded entries replaced by
-``K @ gamma_f`` (or the midpoints), then ``x - dt * (L @ gamma)`` moves the
-unpinned components. The block takes them in one tight loop that only applies
-the map; one vectorized post-check then keeps them up to the first state that
-changes its band-edge or piece index, leaves the state space, repeats the one
-before bit for bit (an exact fixed point, which the next block's first step
-finds) or reaches the consensus tolerance, and up to the first banded
-selection that is not strictly inside its jump interval; the next block starts
-there. The kept states are bit for bit those of single steps. The later steps
-count in ``free_flight_steps`` with no banded component and in
-``sliding_flight_steps`` otherwise: ``steps`` is their sum, plus
-``fixed_point_steps``, plus one per block.
+Flight steps: when every piece of g is affine, a full-length step whose banded
+components all slide, pinned on their abscissas, is one affine map, ``x - B @
+[x; 1]`` with ``B = dt * L @ G`` (see ``_Stepper._map_for``); a free step is the
+case with no banded component. A block's first step, and so the public
+``step``, takes the map when it is full length, its banded components all slide
+and sit on their abscissas bit for bit, and it passes no whole band. Every
+other step (capped, short, with a clipped or unpinned banded component, or with
+a callable piece) is ``x - dt * (L @ gamma)`` on the selection, its sliding
+components pinned. After a first step that was full length, moved x, kept its
+band-edge index and left every banded component sliding, each later step of the
+block is the map: one dot and one subtract, in one tight loop. Their
+selections, ``s*x + c`` with the banded entries ``K @ gamma_f`` or the
+midpoints, as ``selection`` computes them, follow the loop. One vectorized
+post-check then keeps the steps up to the first state that changes its
+band-edge or piece index, leaves the state space, repeats the one before bit
+for bit (an exact fixed point, which the next block's first step finds) or
+reaches the consensus tolerance, and up to the first banded selection that is
+not strictly inside its jump interval; the next block starts there. The kept
+states are bit for bit those of single steps. The later steps count in
+``free_flight_steps`` with no banded component and in ``sliding_flight_steps``
+otherwise: ``steps`` is their sum, plus ``fixed_point_steps``, plus one per
+block.
 """
 
 from __future__ import annotations
@@ -109,6 +106,8 @@ class SimOptions:
     def __post_init__(self) -> None:
         for name in ("dt", "band", "consensus_tol", "t_max"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
@@ -238,7 +237,6 @@ class _BandedSet(NamedTuple):
     f: np.ndarray  # the other indices
     lo: np.ndarray  # g(b_k-) of each banded component's jump
     hi: np.ndarray  # g(b_k+)
-    xb: np.ndarray  # the jump abscissas, where a sliding component is pinned
     mid: np.ndarray  # the midpoint fallback selection
     op: np.ndarray | None  # K = -solve(L_bb, L_bf); None when L_bb is rank-deficient
 
@@ -262,11 +260,11 @@ class _Stepper:
         if edges != sorted(edges):
             raise ValueError("jump bands overlap: breakpoints must be more than 2*band apart")
         self.edges = np.array(edges)
-        self._unit = g._all_affine and bool((g._slopes == 1.0).all())  # 1.0 * x is x
         self._block_len = _BLOCK_MIN_STEPS  # steps the next block tries
+        self._max_len = max(_BLOCK_MIN_STEPS, _BLOCK_ELEMENTS // max(1, len(self.lap)))  # the longest block
         self._block = None  # its state rows, allocated at the first block
         self._banded_key = self._banded = None  # the last k.tobytes() and its _banded_set
-        self._map_key = self._map = None  # the last piece-index p.tobytes() and its _map_for
+        self._map_key = self._map = None  # the last p.tobytes() + k.tobytes() and its _map_for
 
     def _banded_set(self, k: np.ndarray) -> _BandedSet:
         """The selection structure at band-edge index ``k``, which has a banded component.
@@ -284,7 +282,7 @@ class _Stepper:
         op = None
         if np.linalg.matrix_rank(lbb) == len(b):
             op = -np.linalg.solve(lbb, self.lap[np.ix_(b, f)])
-        return _BandedSet(b, f, lo, hi, self.bxs[bi], 0.5 * (lo + hi), op)
+        return _BandedSet(b, f, lo, hi, 0.5 * (lo + hi), op)
 
     def _banded_for(self, k: np.ndarray) -> _BandedSet | None:
         """``_banded_set(k)``, kept for the last ``k`` seen; None if no component is banded.
@@ -318,17 +316,27 @@ class _Stepper:
             sliding[bs.b] = (sol > bs.lo) & (sol < bs.hi)
         return gamma, sliding, fallback
 
-    def _map_for(self, p: np.ndarray) -> np.ndarray:
-        """``B = dt * [L diag(s_p) | L c_p]`` at piece-index vector ``p``, kept for the last ``p`` seen.
+    def _map_for(self, p: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """``B = dt * L @ G`` at piece-index vector ``p`` and band-edge index ``k``, kept for the last pair.
 
-        A full free step from ``x`` is ``x - B @ [x; 1]``: ``x - dt * (L @ g(x))``
-        to rounding, for each component's piece slope ``s`` and intercept ``c``.
+        ``G = [diag(s) | c]`` maps ``[x; 1]`` to ``s*x + c`` for each component's
+        piece slope ``s`` and intercept ``c``, except that a banded row is ``K @
+        G_f``, or ``[0 | mid]`` with no operator. The banded rows of ``B`` are
+        zero: the step ``x - B @ [x; 1]`` keeps the pinned components' bits.
         """
-        key = p.tobytes()
+        key = p.tobytes() + k.tobytes()
         if key != self._map_key:
-            lap, g = self.lap, self.g
-            self._map_key, self._map = key, self.opts.dt * np.column_stack((lap * g._slopes[p],
-                                                                            lap @ g._intercepts[p]))
+            lap, bs = self.lap, self._banded_for(k)
+            s, c = self.g._slopes[p], self.g._intercepts[p]
+            if bs is not None:  # G_b; the banded rows of [diag(s) | c] then drop out
+                gb = (np.column_stack((np.zeros((len(bs.b), len(p))), bs.mid)) if bs.op is None
+                      else bs.op @ np.column_stack((np.diag(s), c))[bs.f])
+                s[bs.b] = c[bs.b] = 0.0
+            m = np.column_stack((lap * s, lap @ c))  # L @ [diag(s) | c], with no n^3 product
+            if bs is not None:
+                m += lap[:, bs.b] @ gb
+                m[bs.b] = 0.0
+            self._map_key, self._map = key, self.opts.dt * m
         return self._map
 
     @np.errstate(over="ignore", invalid="ignore")  # the finiteness checks catch an overflow
@@ -336,10 +344,11 @@ class _Stepper:
               tiny: float, consensus_tol: float | None):
         """A block of steps from ``x``, whose band-edge index is ``k``; see the module docstring.
 
-        The first step is at most ``cap`` long. A full-length step of an
-        all-affine g with no banded component is ``x - B @ [x; 1]``, unless it
-        passes a whole band. Otherwise it is the selection at ``x``, ``v = L @
-        gamma``, then ``x - v*w`` with ``w = dt`` but 0 on the sliding
+        The first step is at most ``cap`` long. It is the map ``x - B @ [x; 1]``
+        of ``_map_for`` when it is full length, g is all-affine, every banded
+        component slides and already sits on its abscissa bit for bit, and the
+        step passes no whole band. Otherwise it is the selection at ``x``, ``v =
+        L @ gamma``, then ``x - v*w`` with ``w = dt`` but 0 on the sliding
         components, which are pinned on their abscissas. ``dt`` is first
         shortened so that no component passes a whole band it is not in: the
         first to reach one lands on its abscissa. The later steps follow the
@@ -356,8 +365,9 @@ class _Stepper:
             raise ValueError("step size collapsed to zero")
         g, lap, n, length = self.g, self.lap, len(x), self._block_len
         if self._block is None or len(self._block) <= length:
-            # rows [x, 1], so that the map's last column adds its constant term
-            self._block, self._gammas = np.ones((length + 1, n + 1)), np.empty((length, n))
+            # rows [x, 1] for the map's constant column; a short first block keeps ``step`` cheap
+            size = length if self._block is None else self._max_len
+            self._block, self._gammas = np.ones((size + 1, n + 1)), np.empty((size, n))
             self._rows, self._v = list(self._block), np.empty(n)
             self._xrows = [row[:n] for row in self._rows]
         rows, xrows, v = self._rows, self._xrows, self._v
@@ -365,13 +375,15 @@ class _Stepper:
         gamma, sliding, fallback = self.selection(x, k)
         xrows[0][:], self._gammas[0] = x, gamma
         x1 = xrows[1]
-        free = dt == self.opts.dt and g._all_affine and not np.count_nonzero(k & 1)
-        if free:
-            self._map_for(g._junctions.searchsorted(x, side="left")).dot(rows[0], v)
+        pinned = np.count_nonzero(sliding) == np.count_nonzero(k & 1)  # every banded component slides
+        xb = self.bxs[k[sliding] // 2]  # the sliding components' abscissas
+        mapped = dt == self.opts.dt and g._all_affine and pinned and x[sliding].tobytes() == xb.tobytes()
+        if mapped:
+            self._map_for(g._junctions.searchsorted(x, side="left"), k).dot(rows[0], v)
             np.subtract(x, v, x1)
             k1 = self.edges.searchsorted(x1, side="right")
-            free = not np.count_nonzero(np.abs(k1 - k) > 1)  # a whole band passed: redone, capped
-        if not free:
+            mapped = not np.count_nonzero(np.abs(k1 - k) > 1)  # a whole band passed: redone, capped
+        if not mapped:
             np.dot(lap, gamma, v)  # 0.5 us less than matmul
             w = np.full(n, dt)
             w[sliding] = 0.0
@@ -385,38 +397,25 @@ class _Stepper:
                 np.minimum(w, dt, out=w)
                 np.subtract(x, v * w, x1)
                 k1 = self.edges.searchsorted(x1, side="right")
-            x1[sliding] = self.bxs[k[sliding] // 2]
+            x1[sliding] = xb
         if not np.isfinite(x1).all():
             raise IntegrationError(f"state overflow at t={t}")
         t1, e = t + dt, 1
         times = np.array([t, t1])
         if (dt == self.opts.dt and t1 < t_end - tiny and t_end - t1 >= dt and g._all_affine
-                and x1.tobytes() != xrows[0].tobytes() and (k1 == k).all()
-                and np.count_nonzero(sliding) == np.count_nonzero(k & 1)):
+                and x1.tobytes() != xrows[0].tobytes() and (k1 == k).all() and pinned):
             times, m = _grid(t, t_end, dt, tiny, length)
-            bs, unit = self._banded_for(k), self._unit
             # the piece index, not k // 2: a continuity junction splits a band gap
             p0 = g._junctions.searchsorted(x1, side="left")
-            s, c = g._slopes[p0], g._intercepts[p0]
-            if bs is None:  # free flight: one dot and one subtract a step
-                # the bound dot is np.dot without its dispatch: 0.2 us less a step
-                dot, subtract = self._map_for(p0).dot, np.subtract
-                for j in range(1, m):
-                    dot(rows[j], v)
-                    subtract(xrows[j], v, xrows[j + 1])
-            else:
-                b, f, op = bs.b, bs.f, bs.op
-                for j in range(1, m):
-                    gamma = self._gammas[j]
-                    if unit:
-                        np.add(xrows[j], c, gamma)  # positional out: a keyword costs 10%
-                    else:
-                        np.multiply(s, xrows[j], gamma)
-                        np.add(gamma, c, gamma)
-                    gamma[b] = bs.mid if op is None else op @ gamma[f]
-                    np.dot(lap, gamma, v)
-                    np.multiply(v, w, v)
-                    np.subtract(xrows[j], v, xrows[j + 1])
+            # the bound dot is np.dot without its dispatch: 0.2 us less a step
+            dot, subtract = self._map_for(p0, k).dot, np.subtract
+            for j in range(1, m):
+                dot(rows[j], v)
+                subtract(xrows[j], v, xrows[j + 1])
+            # the selections of the later steps, bit for bit as ``selection`` computes them
+            gs, bs = self._gammas[1:m], self._banded_for(k)
+            np.multiply(g._slopes[p0], states[1:m], gs)
+            np.add(gs, g._intercepts[p0], gs)
             e, new = m, states[2:m + 1]
             stop = ((self.edges.searchsorted(new, side="right") != k).any(axis=1)
                     | (g._junctions.searchsorted(new, side="left") != p0).any(axis=1)
@@ -424,7 +423,9 @@ class _Stepper:
                     # an exact repeat, by bit pattern: == would equate -0.0 and 0.0
                     | (new.view(np.uint64) == states[1:m].view(np.uint64)).all(axis=1))
             if bs is not None:  # a later step is not kept when its selection is clipped
-                gb = self._gammas[1:m, b]
+                for gj in gs:  # row by row: gs[:, f] @ K.T does not round as op @ gamma_f does
+                    gj[bs.b] = bs.mid if bs.op is None else bs.op @ gj[bs.f]
+                gb = gs[:, bs.b]
                 stop |= ~((gb > bs.lo) & (gb < bs.hi)).all(axis=1)
             if stop.any():
                 e = int(stop.argmax()) + 1
@@ -436,11 +437,7 @@ class _Stepper:
             if e < m:
                 self._block_len = max(_BLOCK_MIN_STEPS, length // 2)
             elif m == length:
-                self._block_len = min(2 * length, max(_BLOCK_MIN_STEPS, _BLOCK_ELEMENTS // n))
-            if bs is None:  # the kept free steps' selections, as g.values computes them
-                gs = self._gammas[1:e]
-                np.multiply(s, states[1:e], gs)
-                np.add(gs, c, gs)
+                self._block_len = min(2 * length, self._max_len)
         return times[:e + 1], states[:e + 1], self._gammas[:e], sliding, fallback, dt
 
 

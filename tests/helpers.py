@@ -179,9 +179,16 @@ def check_interval_decay(reports, dt, slack_factor=10.0):
         )
 
 
-def euler_step(x, lap, g, dt):
-    """One explicit Euler step of x' = -L g(x), with g evaluated off its jumps."""
-    return x - dt * (lap @ g.values(x))
+def euler_step(x, lap, g, dt, gamma=None, sliding=None):
+    """One explicit Euler step of x' = -L g(x), with g evaluated off its jumps.
+
+    A given selection ``gamma`` stands for g(x), and the components of the
+    ``sliding`` mask keep their state: they are pinned on their jumps.
+    """
+    x_next = x - dt * (lap @ (g.values(x) if gamma is None else gamma))
+    if sliding is not None:
+        x_next[sliding] = x[sliding]
+    return x_next
 
 
 def stepwise_reference(segments, g, x0, opts, stop_at_consensus=True):

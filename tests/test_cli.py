@@ -268,6 +268,8 @@ _JUMP = {"pieces": [{"interval": ["-inf", 0.0], "slope": 1.0, "intercept": 0.0},
     ("function", {**_JUMP, "breakpoints": [{"x": "zero", "left": 0.0, "right": 1.0}]}, "breakpoints[0].x"),
     ("function", {**_JUMP, "breakpoints": [{"x": 0.0, "left": "low", "right": 1.0}]}, "breakpoints[0].left"),
     ("function", {**_JUMP, "breakpoints": [{"x": 0.0, "left": 0.0, "right": [1.0]}]}, "breakpoints[0].right"),
+    ("options", {"dt": "fast"}, "dt must be a real number"),
+    ("options", {"t_max": True}, "t_max must be a real number"),
 ])
 def test_malformed_config_field_exits_2(bundle, tmp_path, capsys, key, value, field):
     cfg = {

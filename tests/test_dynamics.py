@@ -271,9 +271,11 @@ def test_simoptions_validation():
 
 
 @pytest.mark.parametrize("name", ["dt", "band", "consensus_tol", "t_max"])
-@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("value", [np.inf, np.nan, "fast", True, None])
 def test_simoptions_rejects_non_finite(name, value):
-    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+    # a bool is an int to Python, but True is no step size
+    message = "finite and positive" if isinstance(value, float) else "a real number"
+    with pytest.raises(ValueError, match=f"{name} must be {message}"):
         SimOptions(**{name: value})
 
 
@@ -284,34 +286,45 @@ def _sloped_jump():
 
 @pytest.mark.parametrize("g", [unit_jump(), _sloped_jump()], ids=["unit-jump", "sloped-jump"])
 def test_free_full_steps_are_euler_steps_to_rounding(g):
-    """Free full-length steps, single and in a stride-1 run, against ``euler_step``."""
+    """Free and pinned sliding full-length steps, single and in a stride-1 run, against ``euler_step``.
+
+    A pinned sliding step starts with every banded component sliding on its
+    abscissa. Those keep their bits; the others take ``euler_step`` on the
+    recorded selection, which the sliding condition solves independently of the
+    step's map. Both functions jump at 0.
+    """
     rng = np.random.default_rng(41)
     opts = SimOptions(dt=1e-2, t_max=2.0)
     eps = np.finfo(float).eps
-    steps = rows = 0
+    steps = rows = pinned = 0
 
-    def assert_euler(x, x_next, lap):
-        bound = 8 * eps * (np.abs(x) + opts.dt * np.abs(lap).sum(axis=1).max() * np.abs(g.values(x)).max())
-        assert (np.abs(x_next - euler_step(x, lap, g, opts.dt)) <= bound).all()
+    def assert_euler(x, x_next, lap, gamma, sliding):
+        bound = 8 * eps * (np.abs(x) + opts.dt * np.abs(lap).sum(axis=1).max() * np.abs(gamma).max())
+        assert (np.abs(x_next - euler_step(x, lap, g, opts.dt, gamma, sliding)) <= bound).all()
+        assert (x_next[sliding] == x[sliding]).all()
+        return int(sliding.any())
 
     for n in range(2, 9):
         graph = random_strongly_connected(rng, n)
         lap = laplacian(graph)
-        for _ in range(5):  # off the bands: at least 0.1 from the jump
+        for _ in range(100):  # off the bands, at least 0.1 from the jump, or on the jump
             x = rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 3.0, n)
+            x[rng.random(n) < 0.3] = 0.0
             res = step(State(0.0, x), lap, g, opts)
-            if res.dt == opts.dt:
-                assert not res.sliding_set
-                assert_euler(x, res.state.x, lap)
+            sliding = np.isin(np.arange(n), res.sliding_set)
+            if res.dt == opts.dt and (sliding == (x == 0.0)).all():
+                pinned += assert_euler(x, res.state.x, lap, res.gamma, sliding)
                 steps += 1
         x0 = rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 3.0, n)
         traj = simulate_fixed(graph, g, x0, opts, stop_at_consensus=False).trajectory
         edges = dynamics._Stepper(lap, g, opts).edges
-        free = ~(edges.searchsorted(traj.x[:-1], side="right") & 1).any(axis=1)
-        for i in np.flatnonzero(free & (traj.t[1:] == traj.t[:-1] + opts.dt)):
-            assert_euler(traj.x[i], traj.x[i + 1], lap)
+        banded = (edges.searchsorted(traj.x[:-1], side="right") & 1).astype(bool)
+        on_jump = ((traj.x[:-1] == 0.0) | ~banded).all(axis=1)
+        full = traj.t[1:] == traj.t[:-1] + opts.dt
+        for i in np.flatnonzero(full & on_jump & (banded == traj.sliding[:-1]).all(axis=1)):
+            pinned += assert_euler(traj.x[i], traj.x[i + 1], lap, traj.gamma[i], traj.sliding[i])
             rows += 1
-    assert steps > 20 and rows > 1000
+    assert steps > 100 and rows > 1000 and pinned > 100
 
 
 def test_identity_coupling_is_plain_euler():
@@ -893,17 +906,25 @@ def test_midpoint_flight_in_every_switching_segment_matches_stepwise(fig4):
 
 
 def test_sliding_flight_skips_the_stepper(monkeypatch, tmp_path):
-    calls, builds = _block_calls(monkeypatch), 0
-    banded_set = dynamics._Stepper._banded_set
+    calls, builds, maps = _block_calls(monkeypatch), 0, 0
+    banded_set, map_for = dynamics._Stepper._banded_set, dynamics._Stepper._map_for
 
     def counting_banded_set(self, k):
         nonlocal builds
         builds += 1
         return banded_set(self, k)
 
+    def counting_map_for(self, p, k):  # counts the cache misses, which build a new B
+        nonlocal maps
+        kept = self._map
+        built = map_for(self, p, k)
+        maps += built is not kept
+        return built
+
     monkeypatch.setattr(dynamics._Stepper, "_banded_set", counting_banded_set)
+    monkeypatch.setattr(dynamics._Stepper, "_map_for", counting_map_for)
     paths = {p.stem: p for p in write_bundled(tmp_path / "bundle")}
     s = cli_run(load_config(paths["blinking-50"]), tmp_path / "out")["result"]
     assert (s["steps"], s["fallback_steps"]) == (19_226, 339)
-    assert calls[0] <= 700 and builds <= 110
+    assert calls[0] <= 700 and builds <= 110 and maps <= 110
     assert_every_step_counted(s, calls[0])
