@@ -8,7 +8,7 @@ Usage::
 
 Modes: analyze, fixed, switching, blinking, expected-eta. A run writes
 ``summary.json`` plus, depending on the mode, ``trajectory.csv``,
-``intervals.csv``, and a ``graph.edges`` echo into the output directory.
+``intervals.csv``, a ``graph.edges`` echo and ``graphs/`` interval dumps.
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
 
@@ -44,6 +44,7 @@ from .switching import (
     BlinkingSampler,
     ConstantDuration,
     FixedGraphSampler,
+    ScheduleInterval,
     UniformDuration,
     estimate_expected_eta,
     process_for_blinking,
@@ -63,8 +64,8 @@ _MODE_REQUIRES = {
 }
 
 
-# smallest accepted value of each integer count; n_samples >= 2 for a standard error
-_INT_MINIMA = {"n_samples": 2, "runs": 1, "stride": 1}
+# smallest accepted value of each integer field; n_samples >= 2 for a standard error
+_INT_MINIMA = {"n_samples": 2, "runs": 1, "stride": 1, "graph_dump_stride": 0, "seed": 0}
 
 
 class ConfigError(ValueError):
@@ -137,6 +138,9 @@ def load_config(path: str | Path, mode: str | None = None,
         value = getattr(cfg, key)
         if isinstance(value, bool) or not isinstance(value, int) or value < least:
             raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+    if cfg.delta is not None and (isinstance(cfg.delta, bool) or not isinstance(cfg.delta, (int, float))
+                                  or not 0 < cfg.delta < float("inf")):
+        raise ConfigError(f"delta must be null or a finite positive number, got {cfg.delta!r}")
     return cfg
 
 
@@ -295,52 +299,45 @@ def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
 
     opts = cfg.sim_options()
     g = _function(cfg)
-
-    if cfg.mode == "fixed":
-        graph = _load_graph(cfg)
-        x0 = _initial_state(cfg, graph.n)
-        result = simulate_fixed(graph, g, x0, opts, record_stride=cfg.stride)
-        report = summary["graph"] = _graph_report(graph, cfg.delta)
-        if report["has_spanning_tree"] and not report["s2"]:
-            summary["finite_time_bound"] = finite_time_bound(graph, g, x0)
-        summary["result"] = _block(result.summary)
-        summary["x0"] = [float(v) for v in x0]
-        result.trajectory.to_csv(out / "trajectory.csv")
-        write_edge_list(graph, out / "graph.edges")
-        _write_json(out / "summary.json", summary)
-        return summary
-
-    # switching / blinking
-    if cfg.mode == "switching":
-        graph = _load_graph(cfg)
-        proc = process_for_graph(graph, _durations(cfg))
-        summary["graph"] = _graph_report(graph, cfg.delta)
-        n = graph.n
-        write_edge_list(graph, out / "graph.edges")
-    else:
+    if cfg.mode == "blinking":
         model = _blinking_model(cfg)
         proc = process_for_blinking(model, _durations(cfg))
         summary["blinking"] = _block(model)
         n = model.n
+    else:
+        graph = _load_graph(cfg)
+        if cfg.mode == "switching":
+            proc = process_for_graph(graph, _durations(cfg))
+        report = summary["graph"] = _graph_report(graph, cfg.delta)
+        n = graph.n
+        write_edge_list(graph, out / "graph.edges")
     x0 = _initial_state(cfg, n)
+    summary["x0"] = [float(v) for v in x0]
+
+    def dump(interval: ScheduleInterval) -> None:
+        if interval.k % cfg.graph_dump_stride == 0:
+            (out / "graphs").mkdir(exist_ok=True)
+            write_edge_list(interval.graph, out / "graphs" / f"interval_{interval.k:06d}.edges")
+
     try:
-        result = simulate_switching(
-            proc, g, x0, opts, seed=_derived_seed(cfg.seed, 1),
-            record_stride=cfg.stride, delta=cfg.delta,
-        )
+        if cfg.mode == "fixed":
+            result = simulate_fixed(graph, g, x0, opts, record_stride=cfg.stride)
+        else:
+            result = simulate_switching(
+                proc, g, x0, opts, seed=_derived_seed(cfg.seed, 1), record_stride=cfg.stride,
+                delta=cfg.delta, on_interval=dump if cfg.graph_dump_stride > 0 else None,
+            )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    run_fields = summary["result"] = _block(result.summary, RunSummary)
-    summary["switching"] = {k: v for k, v in _block(result.summary).items() if k not in run_fields}
-    summary["x0"] = [float(v) for v in x0]
     result.trajectory.to_csv(out / "trajectory.csv")
-    write_interval_reports_csv(result.reports, out / "intervals.csv")
-    if cfg.graph_dump_stride > 0:
-        gdir = out / "graphs"
-        gdir.mkdir(exist_ok=True)
-        for interval in result.intervals:
-            if interval.k % cfg.graph_dump_stride == 0:
-                write_edge_list(interval.graph, gdir / f"interval_{interval.k:06d}.edges")
+    if cfg.mode == "fixed":
+        if report["has_spanning_tree"] and not report["s2"]:
+            summary["finite_time_bound"] = finite_time_bound(graph, g, x0)
+        summary["result"] = _block(result.summary)
+    else:
+        run_fields = summary["result"] = _block(result.summary, RunSummary)
+        summary["switching"] = {k: v for k, v in _block(result.summary).items() if k not in run_fields}
+        write_interval_reports_csv(result.reports, out / "intervals.csv")
     _write_json(out / "summary.json", summary)
     return summary
 

@@ -582,8 +582,8 @@ def simulate_fixed(graph: WeightedDigraph, g: ClassAFunction, x0: np.ndarray,
     x = np.array(x0, dtype=float)
     if x.shape != (graph.n,):
         raise ValueError(f"x0 must have length {graph.n}")
-    if not np.isfinite(x).all():
-        raise ValueError("x0 must be finite")
+    if not x.size or not np.isfinite(x).all():
+        raise ValueError("x0 must be non-empty and finite")
     try:
         wra_predicted = wra(x, graph)
     except NoSpanningTreeError:

@@ -6,7 +6,9 @@ are independent by construction. Each simulated interval produces a report
 comparing the realized disagreement decay with the per-interval exponential
 bound ``V(t_{k+1}) <= exp(-eps * eta * dt_k) * V(t_k)``, where ``eps`` is the
 certified separation ratio of the coupling function on the initial hull and
-``eta`` the scrambling coefficient of the interval's graph.
+``eta`` the scrambling coefficient of the interval's graph. A run reads each
+graph once, when it takes the interval (its eta, its delta-scrambling verdict
+and the caller's ``on_interval``), and so holds one graph at a time.
 """
 
 from __future__ import annotations
@@ -215,24 +217,25 @@ class SwitchingSummary(RunSummary):
 class SwitchingRunResult:
     trajectory: Trajectory
     reports: list[IntervalReport]
-    intervals: list[ScheduleInterval]  # the interval of each report, in report order
     summary: SwitchingSummary
 
 
 def simulate_switching(proc: SwitchingProcess, g: ClassAFunction, x0: np.ndarray,
                        opts: SimOptions, seed: int, record_stride: int = 1,
-                       stop_at_consensus: bool = True,
-                       delta: float | None = None) -> SwitchingRunResult:
+                       stop_at_consensus: bool = True, delta: float | None = None,
+                       on_interval: Callable[[ScheduleInterval], None] | None = None
+                       ) -> SwitchingRunResult:
     """Integrate across a sampled switching schedule, one report per interval.
 
-    Aborts when the coupling function has no certified positive separation
-    ratio on ``[min x0, max x0]`` (trajectories stay inside that hull, so the
-    certificate is valid for the whole run).
+    ``on_interval`` is called with each interval the run takes, before it is
+    integrated. Aborts when the coupling function has no certified positive
+    separation ratio on ``[min x0, max x0]`` (trajectories stay inside that
+    hull, so the certificate is valid for the whole run).
     """
     g = validated(g)
     x = np.array(x0, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError("x0 must be finite")
+    if not x.size or not np.isfinite(x).all():
+        raise ValueError("x0 must be non-empty and finite")
     lo, hi = float(x.min()), float(x.max())
     if lo == hi:
         lo, hi = lo - 1.0, hi + 1.0  # degenerate hull: already at consensus
@@ -244,40 +247,39 @@ def simulate_switching(proc: SwitchingProcess, g: ClassAFunction, x0: np.ndarray
         )
     eps = sep.value
 
-    intervals: list[tuple[ScheduleInterval, float]] = []  # each taken interval and its eta
+    records: list[tuple[int, float, float, bool]] = []  # (k, t_start, eta, delta verdict) per interval
 
     def segments():
         for interval, lap in _schedule(proc, opts.t_max, seed):
-            intervals.append((interval, scrambling_coefficient(-lap)))
+            if on_interval is not None:
+                on_interval(interval)
+            records.append((interval.k, interval.t_start, scrambling_coefficient(-lap),
+                            delta is not None and is_delta_scrambling(interval.graph, delta)))
             yield lap, interval.t_end
 
     traj, taken, summary = integrate(segments(), g, x, opts, record_stride, stop_at_consensus)
     traj.meta["seed"] = seed
     reports: list[IntervalReport] = []
-    reported: list[ScheduleInterval] = []
     cumulative_exponent = 0.0
-    delta_count: int | None = 0 if delta is not None else None
-    for (interval, eta), (v_start, v_end, t_reached) in zip(intervals, taken):
-        dt_actual = t_reached - interval.t_start
+    delta_count = 0
+    for (k, t_start, eta, verdict), (v_start, v_end, t_reached) in zip(records, taken):
+        dt_actual = t_reached - t_start
         if dt_actual <= 0:
             continue
         reports.append(IntervalReport(
-            k=interval.k,
+            k=k,
             dt=dt_actual,
             eta=eta,
             v_start=v_start,
             v_end=v_end,
             bound_rhs=v_start * math.exp(-eps * eta * dt_actual),
         ))
-        reported.append(interval)
         cumulative_exponent += eps * eta * dt_actual
-        if delta is not None and is_delta_scrambling(interval.graph, delta):
-            delta_count += 1
+        delta_count += verdict
 
     return SwitchingRunResult(
         trajectory=traj,
         reports=reports,
-        intervals=reported,
         summary=SwitchingSummary(
             **vars(summary),
             epsilon=eps,
@@ -285,7 +287,7 @@ def simulate_switching(proc: SwitchingProcess, g: ClassAFunction, x0: np.ndarray
             cumulative_exponent=cumulative_exponent,
             n_intervals=len(reports),
             delta=delta,
-            delta_scrambling_intervals=delta_count,
+            delta_scrambling_intervals=delta_count if delta is not None else None,
             schedule_seed=seed,
         ),
     )

@@ -270,6 +270,14 @@ _JUMP = {"pieces": [{"interval": ["-inf", 0.0], "slope": 1.0, "intercept": 0.0},
     ("function", {**_JUMP, "breakpoints": [{"x": 0.0, "left": 0.0, "right": [1.0]}]}, "breakpoints[0].right"),
     ("options", {"dt": "fast"}, "dt must be a real number"),
     ("options", {"t_max": True}, "t_max must be a real number"),
+    ("delta", -1, "delta"),
+    ("delta", "x", "delta"),
+    ("delta", True, "delta"),
+    ("delta", 0, "delta"),
+    ("graph_dump_stride", "2", "graph_dump_stride"),
+    ("graph_dump_stride", -1, "graph_dump_stride"),
+    ("seed", -1, "seed"),
+    ("seed", "abc", "seed"),
 ])
 def test_malformed_config_field_exits_2(bundle, tmp_path, capsys, key, value, field):
     cfg = {
@@ -286,6 +294,38 @@ def test_malformed_config_field_exits_2(bundle, tmp_path, capsys, key, value, fi
     assert main(["switching", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and field in err
+
+
+@pytest.mark.parametrize("name", ["double-star", "blinking-50"])
+def test_bad_delta_exits_2_before_integrating(bundle, tmp_path, capsys, name):
+    cfg = {**json.loads((bundle / f"{name}.json").read_text()), "delta": -1}
+    p = bundle / "bad-delta.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main([cfg["mode"], "--config", str(p), "--out", str(out)]) == 2
+    assert "config error: delta must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_override_exits_2(bundle, tmp_path, capsys):
+    assert main(["fixed", "--config", str(bundle / "double-star.json"), "--out", str(tmp_path / "o"),
+                 "--seed", "-1"]) == 2
+    assert "config error: seed must be an integer >= 0" in capsys.readouterr().err
+
+
+def test_fixed_overlapping_jump_bands_exit_2(bundle, tmp_path, capsys):
+    pieces = [{"interval": lohi, "slope": 1.0, "intercept": c}
+              for lohi, c in ((["-inf", 0.0], 0.0), ([0.0, 1.0], 1.0), ([1.0, "inf"], 2.0))]
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({
+        "mode": "fixed",
+        "graph": {"edge_list": str(bundle / "graphs" / "fig1.edges")},
+        "function": {"pieces": pieces},
+        "x0": {"values": [0.0, 1.0, 2.0, 3.0]},
+        "options": {"band": 0.6, "t_max": 1.0},
+    }))
+    assert main(["fixed", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: jump bands overlap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["null", "[]", "3", '"fixed"'])
@@ -408,6 +448,24 @@ def test_graph_dump_samples_the_schedule_once(bundle, tmp_path, monkeypatch):
     monkeypatch.setattr(switching, "_schedule", counted)
     _dumped_intervals(bundle, tmp_path, 0.2)
     assert len(starts) == 1
+
+
+def test_graph_dump_at_consensus_start_writes_interval_0(bundle, tmp_path):
+    # a run that starts at consensus takes interval 0 and reports no interval
+    p = tmp_path / "sw.json"
+    p.write_text(json.dumps({
+        "mode": "switching",
+        "graph": {"edge_list": str(bundle / "graphs" / "fig1.edges")},
+        "durations": {"constant": 0.2},
+        "function": {"preset": "unit-jump"},
+        "x0": {"values": [0.5] * 4},
+        "graph_dump_stride": 1,
+    }))
+    out = tmp_path / "out"
+    assert main(["switching", "--config", str(p), "--out", str(out)]) == 0
+    assert (out / "intervals.csv").read_text() == "k,dt,eta,v_start,v_end,bound_rhs\n"
+    assert [f.name for f in (out / "graphs").iterdir()] == ["interval_000000.edges"]
+    assert (out / "graphs" / "interval_000000.edges").read_text() == (out / "graph.edges").read_text()
 
 
 def test_blinking_bundled_reaches_consensus(bundle, tmp_path):

@@ -256,6 +256,11 @@ def test_simulate_rejects_bad_x0(two_node, uj):
         simulate_fixed(two_node, uj, np.array([np.nan, 0.0]), SimOptions())
 
 
+def test_simulate_rejects_empty_state(uj):
+    with pytest.raises(ValueError, match="x0"):
+        simulate_fixed(WeightedDigraph(0, np.zeros((0, 0))), uj, np.zeros(0), SimOptions())
+
+
 
 @pytest.mark.parametrize("stride", [0, -3, 2.7, True])
 def test_simulate_rejects_bad_record_stride(two_node, uj, stride):

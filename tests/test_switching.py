@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,13 +12,16 @@ from consensus_lab import (
     SimOptions,
     SwitchingProcess,
     UniformDuration,
+    WeightedDigraph,
     estimate_expected_eta,
+    is_delta_scrambling,
     laplacian,
     sample_blinking,
     sample_schedule,
     scrambling_coefficient,
     simulate_fixed,
     simulate_switching,
+    unit_jump,
 )
 from consensus_lab.protocol import CallablePiece, ClassAFunction
 from consensus_lab.switching import (
@@ -169,14 +173,55 @@ def test_switching_samples_only_the_intervals_it_reaches(fig1, uj):
     assert len(calls) == res.summary.n_intervals
 
 
-def test_switching_intervals_hold_graphs_only(uj):
-    proc = process_for_blinking(BlinkingModel(n=8, K=1, p=0.3, w=0.5), UniformDuration(0.0, 1.0))
+def _held_after_run(t_max):
+    """Bytes a blinking run at n=100 still holds when it has returned, and its interval count."""
+    proc = process_for_blinking(BlinkingModel(n=100, K=0, p=0.1, w=0.1), UniformDuration(0.0, 1.0))
+    x0 = np.random.default_rng(0).uniform(-1, 1, 100)
+    tracemalloc.start()
+    try:
+        res = simulate_switching(proc, unit_jump(), x0, SimOptions(dt=0.1, t_max=t_max), seed=0,
+                                 record_stride=1000, stop_at_consensus=False, delta=0.1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return held, res.summary.n_intervals
+
+
+def test_switching_run_holds_one_graph_at_a_time():
+    # a graph is 80 kB at n=100: holding one per interval would add about 25 MB
+    (short, k_short), (long, k_long) = _held_after_run(48.0), _held_after_run(208.0)
+    assert k_short > 80 and k_long > 400
+    assert long - short < 1e6
+
+
+def _random_weights(rng):
+    w = rng.uniform(0.0, 1.0, (8, 8)) * (rng.random((8, 8)) < 0.6)
+    np.fill_diagonal(w, 0.0)
+    return WeightedDigraph(8, w)
+
+
+def test_switching_reads_each_interval_when_taken(uj):
+    proc = SwitchingProcess(UniformDuration(0.0, 1.0), _random_weights)
     x0 = np.random.default_rng(2).uniform(-1, 1, 8)
-    res = simulate_switching(proc, uj, x0, SimOptions(dt=1e-2, t_max=5.0), seed=9)
-    assert len(res.intervals) == len(res.reports) > 2
-    for interval, report in zip(res.intervals, res.reports):
-        assert not [v for v in vars(interval).values() if isinstance(v, np.ndarray)]
+    taken = []
+    res = simulate_switching(proc, uj, x0, SimOptions(dt=1e-2, t_max=5.0), seed=9,
+                             stop_at_consensus=False, delta=0.3, on_interval=taken.append)
+    schedule = sample_schedule(proc, 5.0, rng_seed=9)
+    assert [i.k for i in taken] == [r.k for r in res.reports] == [i.k for i in schedule]
+    for interval, report in zip(schedule, res.reports):
         assert report.eta == scrambling_coefficient(-interval.lap)
+    for interval in taken:  # an interval holds its graph and no Laplacian
+        assert not [v for v in vars(interval).values() if isinstance(v, np.ndarray)]
+    verdicts = [is_delta_scrambling(interval.graph, 0.3) for interval in schedule]
+    # the weights make the delta count differ from the count of scrambling graphs
+    assert res.summary.delta_scrambling_intervals == sum(verdicts) == 3
+    assert sum(r.eta > 0 for r in res.reports) == 9
+
+
+def test_switching_rejects_empty_x0(fig1, uj):
+    with pytest.raises(ValueError, match="x0"):
+        simulate_switching(process_for_graph(fig1, ConstantDuration(1.0)), uj, np.zeros(0),
+                           SimOptions(), seed=0)
 
 
 @pytest.mark.parametrize("name, x0, t_max", [
