@@ -119,6 +119,9 @@ def load_config(path: str | Path, mode: str | None = None,
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if not isinstance(raw.get("options", {}), dict):
         raise ConfigError(f"options must be an object of simulation options, got {raw['options']!r}")
+    for key in ("out", "name"):
+        if not isinstance(raw.get(key, ""), str | None):
+            raise ConfigError(f"{key} must be null or a string, got {raw[key]!r}")
     for key, value in (overrides or {}).items():
         if value is not None:
             if key == "t_max":

@@ -20,11 +20,13 @@ produced trajectories can be checked against the set-valued semantics.
 ``integrate`` is the one integration loop and ``_Stepper.block`` the one
 stepping routine; the public ``step`` is a block of one step. The loop steps
 through segments of constant Laplacian: a switching schedule is a sequence of
-them, a fixed topology a single one. Once a full-length step returns its input
-bit for bit, the segment's later full-length steps replay only the time grid,
-in vectorized chunks; a short last step is taken as a block. The replay covers
-full-length steps only: a short step is computed differently from a full one,
-so it need not round back to x.
+them, a fixed topology a single one. A run builds one stepper; a new segment
+only swaps its Laplacian and drops the caches keyed by the old one (the banded
+set and the map), so the block length and the buffers carry across switches.
+Once a full-length step returns its input bit for bit, the segment's later
+full-length steps replay only the time grid, in vectorized chunks; a short last
+step is taken as a block. The replay covers full-length steps only: a short
+step is computed differently from a full one, so it need not round back to x.
 
 Flight steps: when every piece of g is affine, a full-length step whose banded
 components all slide, pinned on their abscissas, is one affine map, ``x - B @
@@ -40,11 +42,12 @@ block is the map: one dot and one subtract, in one tight loop. Their
 selections, ``s*x + c`` with the banded entries ``K @ gamma_f`` or the
 midpoints, as ``selection`` computes them, follow the loop. One vectorized
 post-check then keeps the steps up to the first state that changes its
-band-edge or piece index, leaves the state space, repeats the one before bit
-for bit (an exact fixed point, which the next block's first step finds) or
-reaches the consensus tolerance, and up to the first banded selection that is
-not strictly inside its jump interval; the next block starts there. The kept
-states are bit for bit those of single steps. The later steps count in
+band-edge or piece index (one search over the band edges and the junctions
+raised one ulp, whose index is their sum), leaves the state space, repeats the
+one before bit for bit (an exact fixed point, which the next block's first step
+finds) or reaches the consensus tolerance, and up to the first banded selection
+that is not strictly inside its jump interval; the next block starts there.
+The kept states are bit for bit those of single steps. The later steps count in
 ``free_flight_steps`` with no banded component and in ``sliding_flight_steps``
 otherwise: ``steps`` is their sum, plus ``fixed_point_steps``, plus one per
 block.
@@ -242,10 +245,9 @@ class _BandedSet(NamedTuple):
 
 
 class _Stepper:
-    """Precomputed arrays for repeated stepping with one Laplacian."""
+    """Precomputed arrays for repeated stepping, one Laplacian at a time; see ``use``."""
 
     def __init__(self, lap: np.ndarray, g: ClassAFunction, opts: SimOptions):
-        self.lap = np.ascontiguousarray(lap, dtype=float)
         self.g = g
         self.opts = opts
         # + 0.0 turns a -0.0 abscissa into 0.0, so that a pinned component minus
@@ -260,11 +262,25 @@ class _Stepper:
         if edges != sorted(edges):
             raise ValueError("jump bands overlap: breakpoints must be more than 2*band apart")
         self.edges = np.array(edges)
+        # x's cell index k + p, with p its piece index: a junction j lies below x,
+        # j < x, exactly when nextafter(j, inf) <= x. k and p never fall as x
+        # grows, so x keeps its cell exactly when it keeps both.
+        self.cells = np.array(sorted(edges + [math.nextafter(j, math.inf) for j in g._junctions.tolist()]))
         self._block_len = _BLOCK_MIN_STEPS  # steps the next block tries
-        self._max_len = max(_BLOCK_MIN_STEPS, _BLOCK_ELEMENTS // max(1, len(self.lap)))  # the longest block
+        self._max_len = max(_BLOCK_MIN_STEPS, _BLOCK_ELEMENTS // max(1, len(lap)))  # the longest block
         self._block = None  # its state rows, allocated at the first block
+        self.use(lap)
+
+    def use(self, lap: np.ndarray) -> "_Stepper":
+        """Steps with Laplacian ``lap`` from now on; drops the caches keyed by the last one.
+
+        A run keeps one stepper across its segments, so the block length and the
+        buffers carry over a switch.
+        """
+        self.lap = np.ascontiguousarray(lap, dtype=float)
         self._banded_key = self._banded = None  # the last k.tobytes() and its _banded_set
         self._map_key = self._map = None  # the last p.tobytes() + k.tobytes() and its _map_for
+        return self
 
     def _banded_set(self, k: np.ndarray) -> _BandedSet:
         """The selection structure at band-edge index ``k``, which has a banded component.
@@ -287,8 +303,8 @@ class _Stepper:
     def _banded_for(self, k: np.ndarray) -> _BandedSet | None:
         """``_banded_set(k)``, kept for the last ``k`` seen; None if no component is banded.
 
-        One stepper serves one segment, so a run of banded steps at one
-        (segment, ``k``) builds it once, and free steps between them keep it.
+        ``use`` drops it, so a run of banded steps at one (segment, ``k``)
+        builds it once, and free steps between them keep it.
         """
         if not np.count_nonzero(k & 1):
             return None
@@ -417,9 +433,7 @@ class _Stepper:
             np.multiply(g._slopes[p0], states[1:m], gs)
             np.add(gs, g._intercepts[p0], gs)
             e, new = m, states[2:m + 1]
-            stop = ((self.edges.searchsorted(new, side="right") != k).any(axis=1)
-                    | (g._junctions.searchsorted(new, side="left") != p0).any(axis=1)
-                    | ~np.isfinite(new).all(axis=1)
+            stop = (((self.cells.searchsorted(new, side="right") != k + p0) | ~np.isfinite(new)).any(axis=1)
                     # an exact repeat, by bit pattern: == would equate -0.0 and 0.0
                     | (new.view(np.uint64) == states[1:m].view(np.uint64)).all(axis=1))
             if bs is not None:  # a later step is not kept when its selection is clipped
@@ -504,8 +518,9 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
     steps = fallback_steps = fixed_point_steps = free_flight_steps = sliding_flight_steps = 0
     time_to_tol: float | None = None
     tiny = 1e-12 * max(1.0, opts.t_max)
+    stepper = None
     for lap, t_end in segments:
-        stepper = _Stepper(lap, g, opts)
+        stepper = stepper.use(lap) if stepper else _Stepper(lap, g, opts)
         v_start = disagreement(x).spread
         while True:
             if t >= t_end - tiny:

@@ -205,17 +205,17 @@ def _off_diagonal(m: np.ndarray) -> np.ndarray:
     return off
 
 
-def _covers_every_pair(off: np.ndarray) -> bool:
+def _covers_every_pair(off: np.ndarray) -> np.ndarray:
     """Whether every pair of ``off`` (zero diagonal) is linked or shares an in-neighbor.
 
-    Entry (i, j) of ``A @ A.T + A + A.T``, with A the 0/1 pattern of ``off``,
-    counts the shared in-neighbors and direct links of i and j; the 0/1
-    products count exactly in float64.
+    ``off`` is one matrix or a ``(..., n, n)`` stack of them; the verdicts have
+    the stack's shape. With A the 0/1 pattern of a matrix and B = A + I, entry
+    (i, j) of ``B @ B.T`` off the diagonal is ``A @ A.T + A + A.T``: it counts
+    the shared in-neighbors and direct links of i and j, and the diagonal is
+    positive. The 0/1 products count exactly in float64.
     """
-    a = (off > 0).astype(float)
-    cover = a @ a.T + a + a.T
-    np.fill_diagonal(cover, 1.0)
-    return bool(cover.all())
+    b = ((off > 0) | np.eye(off.shape[-1], dtype=bool)).astype(float)
+    return (b @ b.swapaxes(-1, -2)).all(axis=(-2, -1))
 
 
 def scrambling_coefficient(m: np.ndarray) -> float:
@@ -261,7 +261,7 @@ def is_delta_scrambling(g: WeightedDigraph, delta: float) -> bool:
 
     Decided by the coverage test alone: no margin needs its value.
     """
-    return _covers_every_pair(_off_diagonal(delta_graph(g, delta).weights))
+    return bool(_covers_every_pair(_off_diagonal(delta_graph(g, delta).weights)))
 
 
 def read_edge_list(path: str | Path) -> WeightedDigraph:

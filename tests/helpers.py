@@ -7,12 +7,13 @@ the coverage screen), and integrals from quadrature over hand-coded branches.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from consensus_lab import State, WeightedDigraph, step, wra
+from consensus_lab import State, WeightedDigraph, laplacian, scrambling_coefficient, step, wra
 
 
 def brute_force_root_set(g: WeightedDigraph) -> set[int]:
@@ -84,6 +85,33 @@ def blinking_exact(model, max_free_links=14) -> tuple[float, float]:
         p_scr += prob * (eta > 0)
         e_eta += prob * eta
     return p_scr, e_eta
+
+
+def eta_one_at_a_time(draw, n_samples, rng_seed) -> tuple[np.ndarray, float, float]:
+    """Expected-eta samples drawn and scored one graph at a time, with no stacks.
+
+    ``draw(rng)`` returns one graph. Returns every sample's
+    ``scrambling_coefficient(-laplacian(graph))``, then their mean and its
+    standard error.
+    """
+    rng = np.random.default_rng(rng_seed)
+    vals = np.array([scrambling_coefficient(-laplacian(draw(rng))) for _ in range(n_samples)])
+    return vals, float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(n_samples)
+
+
+def blinking_weights_one_draw(model, rng) -> np.ndarray:
+    """One blinking graph's weights from one ``rng.random((n, n))`` draw, by the model's definition.
+
+    Link i -> j is on when it is a ring link (``|i - j| <= K`` around the
+    ring) or its uniform draw ``u[i, j]`` is below ``p``; it is stored at
+    ``W[j, i]``.
+    """
+    n = model.n
+    u = rng.random((n, n))
+    gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    ring = (np.minimum(gap, n - gap) <= model.K) & (gap > 0)
+    on = ((u < model.p) | ring) & ~np.eye(n, dtype=bool)
+    return model.w * on.T.astype(float)
 
 
 def random_digraph(rng, n, p, weight=1.0) -> WeightedDigraph:

@@ -278,6 +278,8 @@ _JUMP = {"pieces": [{"interval": ["-inf", 0.0], "slope": 1.0, "intercept": 0.0},
     ("graph_dump_stride", -1, "graph_dump_stride"),
     ("seed", -1, "seed"),
     ("seed", "abc", "seed"),
+    ("out", 5, "out"),
+    ("name", ["x"], "name"),
 ])
 def test_malformed_config_field_exits_2(bundle, tmp_path, capsys, key, value, field):
     cfg = {

@@ -931,5 +931,46 @@ def test_sliding_flight_skips_the_stepper(monkeypatch, tmp_path):
     paths = {p.stem: p for p in write_bundled(tmp_path / "bundle")}
     s = cli_run(load_config(paths["blinking-50"]), tmp_path / "out")["result"]
     assert (s["steps"], s["fallback_steps"]) == (19_226, 339)
-    assert calls[0] <= 700 and builds <= 110 and maps <= 110
+    assert calls[0] <= 500 and builds <= 110 and maps <= 110
     assert_every_step_counted(s, calls[0])
+
+
+def test_one_stepper_per_switching_run(monkeypatch, uj):
+    inits = [0]
+    init = dynamics._Stepper.__init__
+
+    def counting(self, *args):
+        inits[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(dynamics._Stepper, "__init__", counting)
+    proc = process_for_blinking(BlinkingModel(n=12, K=0, p=0.15, w=0.2), UniformDuration(0.0, 1.0))
+    x0 = np.random.default_rng(4).uniform(-2, 2, 12)
+    opts = SimOptions(dt=5e-3, t_max=20.0, consensus_tol=1e-3)
+    run = simulate_switching(proc, uj, x0, opts, seed=4)
+    assert run.summary.n_intervals > 10 and inits[0] == 1
+    step(State(0.0, x0), sample_schedule(proc, 1.0, 4)[0].lap, uj, opts)
+    assert inits[0] == 2  # the public step builds its own
+
+
+@pytest.mark.parametrize("make_g", [unit_jump, _two_jump_function, _continuity_function])
+@pytest.mark.parametrize("band", [1e-6, 0.25])
+def test_cell_index_moves_with_band_edge_or_piece_index(make_g, band):
+    # the post-check's one search: a state keeps its cell exactly when it keeps
+    # its band-edge index k and its piece index p
+    g = make_g()
+    stepper = dynamics._Stepper(L2, g, SimOptions(band=band))
+    marks = np.concatenate((stepper.edges, g._junctions, g.breakpoint_xs))
+    xs = np.concatenate((marks, np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf),
+                         [0.0, -0.0, np.inf, -np.inf, np.nan]))
+    cell = stepper.cells.searchsorted(xs, side="right")
+    k = stepper.edges.searchsorted(xs, side="right")
+    p = g._junctions.searchsorted(xs, side="left")
+    finite = np.isfinite(xs)
+    # k counts the band edges at or below x, p the junctions strictly below it
+    np.testing.assert_array_equal(k[finite], (stepper.edges <= xs[finite, None]).sum(axis=1))
+    np.testing.assert_array_equal(p[finite], (g._junctions < xs[finite, None]).sum(axis=1))
+    same_cell = cell[:, None] == cell[None, :]
+    same_kp = (k[:, None] == k[None, :]) & (p[:, None] == p[None, :])
+    np.testing.assert_array_equal(same_cell, same_kp)
+    assert len(np.unique(cell)) == len(stepper.edges) + len(g._junctions) + 1

@@ -20,7 +20,7 @@ from consensus_lab import (
     wra,
     write_edge_list,
 )
-from consensus_lab.graph import delta_graph
+from consensus_lab.graph import _covers_every_pair, delta_graph
 from helpers import (
     brute_force_root_set,
     eta_dense,
@@ -263,6 +263,22 @@ def test_eta_matches_dense_formula_bitwise():
         assert np.float64(eta).tobytes() == np.float64(eta_dense(m)).tobytes(), (n, eta)
         scrambling += eta > 0
     assert 600 < scrambling < 1400
+
+
+def test_coverage_of_a_stack_matches_each_matrix():
+    # random 0/1 patterns from sparse to dense, the first of each stack empty
+    rng = np.random.default_rng(13)
+    verdicts = []
+    for n in range(2, 13):
+        stack = (rng.random((24, n, n)) < rng.uniform(0.05, 0.9, (24, 1, 1))).astype(float)
+        stack[:, range(n), range(n)] = 0.0
+        stack[0] = 0.0
+        got = _covers_every_pair(stack)
+        assert got.shape == (24,) and not got[0]
+        for m, verdict in zip(stack, got):
+            assert verdict == _covers_every_pair(m) == (eta_oracle(m) > 0)
+        verdicts += got.tolist()
+    assert 50 < sum(verdicts) < len(verdicts) - 50
 
 
 def test_eta_rejects_nan_and_takes_inf():

@@ -23,6 +23,7 @@ from consensus_lab import (
     simulate_switching,
     unit_jump,
 )
+from consensus_lab import switching
 from consensus_lab.protocol import CallablePiece, ClassAFunction
 from consensus_lab.switching import (
     AssumptionViolationError,
@@ -32,7 +33,14 @@ from consensus_lab.switching import (
     process_for_graph,
     write_interval_reports_csv,
 )
-from helpers import blinking_exact, check_interval_decay, check_selection_validity, check_shrinking
+from helpers import (
+    blinking_exact,
+    blinking_weights_one_draw,
+    check_interval_decay,
+    check_selection_validity,
+    check_shrinking,
+    eta_one_at_a_time,
+)
 
 INF = math.inf
 
@@ -320,6 +328,62 @@ def test_estimate_expected_eta_matches_enumeration():
     _, exact = blinking_exact(model)
     est = estimate_expected_eta(BlinkingSampler(model), 4000, rng_seed=0)
     assert abs(est.mean - exact) <= 4 * est.std_error
+
+
+_ETA_MODELS = [(50, 0, 0.1, 0.1), (8, 1, 0.5, 0.3), (4, 0, 0.3, 0.5), (5, 0, 0.0, 0.1), (6, 0, 1.0, 0.25)]
+
+
+def _stack_sizes(n):
+    """Sample counts below, equal to and across the stack size at n vertices."""
+    b = switching._ETA_STACK_ELEMENTS // n**2
+    return [2, b - 1, b, b + 1, 2 * b + 3]
+
+
+def _spy_scrambling(monkeypatch):
+    calls = [0]
+    inner = switching.scrambling_coefficient
+
+    def counting(m):
+        calls[0] += 1
+        return inner(m)
+
+    monkeypatch.setattr(switching, "scrambling_coefficient", counting)
+    return calls
+
+
+@pytest.mark.parametrize("params", _ETA_MODELS, ids=str)
+def test_stacked_eta_draws_match_one_at_a_time(monkeypatch, params):
+    model, calls = BlinkingModel(*params), _spy_scrambling(monkeypatch)
+    for n_samples in _stack_sizes(model.n):
+        vals, mean, se = eta_one_at_a_time(lambda rng: sample_blinking(model, rng), n_samples, 17)
+        calls[0] = 0
+        est = estimate_expected_eta(BlinkingSampler(model), n_samples, rng_seed=17)
+        assert (est.mean, est.std_error, est.n_samples) == (mean, se, n_samples)
+        # only the samples that scramble pay for the dense coefficient
+        assert calls[0] == np.count_nonzero(vals > 0)
+    if params[:3] == (8, 1, 0.5):
+        assert np.count_nonzero(vals > 0) > n_samples // 2
+
+
+def test_stacked_eta_draws_of_a_fixed_graph(fig1):
+    for n_samples in _stack_sizes(fig1.n):
+        _, mean, se = eta_one_at_a_time(lambda rng: fig1, n_samples, 3)
+        est = estimate_expected_eta(FixedGraphSampler(fig1), n_samples, rng_seed=3)
+        assert (est.mean, est.std_error, est.n_samples) == (mean, se, n_samples)
+
+
+@pytest.mark.parametrize("params", _ETA_MODELS, ids=str)
+def test_sample_blinking_is_a_slice_of_the_stack(params):
+    # a switching schedule draws one graph per interval: it must see the stream
+    # as the stacks of estimate_expected_eta and as one (n, n) draw per graph do
+    model = BlinkingModel(*params)
+    stack = BlinkingSampler(model).stack(np.random.default_rng(8), 9)
+    one, reference = np.random.default_rng(8), np.random.default_rng(8)
+    for weights in stack:
+        g = sample_blinking(model, one)
+        np.testing.assert_array_equal(g.weights, weights)
+        np.testing.assert_array_equal(g.weights, blinking_weights_one_draw(model, reference))
+    assert one.random() == reference.random()
 
 
 def test_eta_bracket_empty_blinking():
