@@ -38,15 +38,19 @@ other step (capped, short, with a clipped or unpinned banded component, or with
 a callable piece) is ``x - dt * (L @ gamma)`` on the selection, its sliding
 components pinned. After a first step that was full length, moved x, kept its
 band-edge index and left every banded component sliding, each later step of the
-block is the map: one dot and one subtract, in one tight loop. Their
-selections, ``s*x + c`` with the banded entries ``K @ gamma_f`` or the
-midpoints, as ``selection`` computes them, follow the loop. One vectorized
-post-check then keeps the steps up to the first state that changes its
-band-edge or piece index (one search over the band edges and the junctions
-raised one ulp, whose index is their sum), leaves the state space, repeats the
-one before bit for bit (an exact fixed point, which the next block's first step
-finds) or reaches the consensus tolerance, and up to the first banded selection
-that is not strictly inside its jump interval; the next block starts there.
+block is the map: one dot and one subtract on the row ``[x, 1]``, in one tight
+loop. A post-check of a few whole-block calls then keeps the steps up to the
+first state that leaves its cell or the state space, repeats the one before bit
+for bit (an exact fixed point, which the next block's first step finds) or
+reaches the consensus tolerance, and up to the first banded selection that is
+not strictly inside its jump interval; the next block starts there. A cell lies
+between consecutive band edges and junctions raised one ulp, and its index is
+the sum of the band-edge and piece indices; one bracket test per entry tells
+whether a state kept its cell and is finite. Every later step maps the row
+before it as the step before did, so an exact repeat lasts to the block's end
+and is looked for only when the block's last two states repeat. The selections,
+``s*x + c`` with the banded entries ``K @ gamma_f`` or the midpoints, as
+``selection`` computes them, are computed only up to the cell or repeat cut.
 The kept states are bit for bit those of single steps. The later steps count in
 ``free_flight_steps`` with no banded component and in ``sliding_flight_steps``
 otherwise: ``steps`` is their sum, plus ``fixed_point_steps``, plus one per
@@ -93,6 +97,12 @@ def _grid(t: float, t_end: float, dt: float, tiny: float, length: int):
     np.add.accumulate(times, out=times)
     starts = times[:-1]
     return times, int(np.count_nonzero((starts < t_end - tiny) & (t_end - starts >= dt)))
+
+
+def _first_row(mask: np.ndarray, none: int) -> int:
+    """The first row of the 2-D ``mask`` with a True entry, from one flat argmax; ``none`` if it has none."""
+    i = int(mask.argmax())
+    return i // mask.shape[1] if mask.flat[i] else none
 
 
 class IntegrationError(RuntimeError):
@@ -266,6 +276,9 @@ class _Stepper:
         # j < x, exactly when nextafter(j, inf) <= x. k and p never fall as x
         # grows, so x keeps its cell exactly when it keeps both.
         self.cells = np.array(sorted(edges + [math.nextafter(j, math.inf) for j in g._junctions.tolist()]))
+        # cell c is [lo[c], hi[c]); -DBL_MAX and inf close the outer two to the finite floats
+        self._cell_lo = np.concatenate(([-np.finfo(float).max], self.cells))
+        self._cell_hi = np.concatenate((self.cells, [math.inf]))
         self._block_len = _BLOCK_MIN_STEPS  # steps the next block tries
         self._max_len = max(_BLOCK_MIN_STEPS, _BLOCK_ELEMENTS // max(1, len(lap)))  # the longest block
         self._block = None  # its state rows, allocated at the first block
@@ -332,6 +345,13 @@ class _Stepper:
             sliding[bs.b] = (sol > bs.lo) & (sol < bs.hi)
         return gamma, sliding, fallback
 
+    def _off_cell(self, x: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Whether each entry of ``x`` is outside cell ``c`` (of its column) or not finite.
+
+        As written, the bracket ``lo[c] <= x < hi[c]`` fails NaN and both infinities.
+        """
+        return (x < self._cell_lo[c]) | ~(x < self._cell_hi[c])
+
     def _map_for(self, p: np.ndarray, k: np.ndarray) -> np.ndarray:
         """``B = dt * L @ G`` at piece-index vector ``p`` and band-edge index ``k``, kept for the last pair.
 
@@ -384,34 +404,34 @@ class _Stepper:
             # rows [x, 1] for the map's constant column; a short first block keeps ``step`` cheap
             size = length if self._block is None else self._max_len
             self._block, self._gammas = np.ones((size + 1, n + 1)), np.empty((size, n))
-            self._rows, self._v = list(self._block), np.empty(n)
-            self._xrows = [row[:n] for row in self._rows]
-        rows, xrows, v = self._rows, self._xrows, self._v
+            # v's trailing 0 keeps each row's 1 when v is subtracted from the whole row
+            self._rows, self._v = list(self._block), np.zeros(n + 1)
+        rows, v, vn = self._rows, self._v, self._v[:n]
         states = self._block[:, :n]
         gamma, sliding, fallback = self.selection(x, k)
-        xrows[0][:], self._gammas[0] = x, gamma
-        x1 = xrows[1]
+        states[0], self._gammas[0] = x, gamma
+        x1 = states[1]
         pinned = np.count_nonzero(sliding) == np.count_nonzero(k & 1)  # every banded component slides
         xb = self.bxs[k[sliding] // 2]  # the sliding components' abscissas
         mapped = dt == self.opts.dt and g._all_affine and pinned and x[sliding].tobytes() == xb.tobytes()
         if mapped:
-            self._map_for(g._junctions.searchsorted(x, side="left"), k).dot(rows[0], v)
-            np.subtract(x, v, x1)
+            self._map_for(g._junctions.searchsorted(x, side="left"), k).dot(rows[0], vn)
+            np.subtract(x, vn, x1)
             k1 = self.edges.searchsorted(x1, side="right")
             mapped = not np.count_nonzero(np.abs(k1 - k) > 1)  # a whole band passed: redone, capped
         if not mapped:
-            np.dot(lap, gamma, v)  # 0.5 us less than matmul
+            np.dot(lap, gamma, vn)  # 0.5 us less than matmul
             w = np.full(n, dt)
             w[sliding] = 0.0
-            np.subtract(x, v * w, x1)  # x + dt*(-v) bit for bit: negation is exact
+            np.subtract(x, vn * w, x1)  # x + dt*(-v) bit for bit: negation is exact
             k1 = self.edges.searchsorted(x1, side="right")
             crossed = np.abs(k1 - k) > 1 + (k & 1)
             if np.count_nonzero(crossed):
-                kc, vc = k[crossed], v[crossed]
+                kc, vc = k[crossed], vn[crossed]
                 b = self.bxs[np.where(vc < 0, (kc + 1) // 2, kc // 2 - 1)]
                 dt = min(dt, float(((x[crossed] - b) / vc).min()))
                 np.minimum(w, dt, out=w)
-                np.subtract(x, v * w, x1)
+                np.subtract(x, vn * w, x1)
                 k1 = self.edges.searchsorted(x1, side="right")
             x1[sliding] = xb
         if not np.isfinite(x1).all():
@@ -419,35 +439,38 @@ class _Stepper:
         t1, e = t + dt, 1
         times = np.array([t, t1])
         if (dt == self.opts.dt and t1 < t_end - tiny and t_end - t1 >= dt and g._all_affine
-                and x1.tobytes() != xrows[0].tobytes() and (k1 == k).all() and pinned):
+                and x1.tobytes() != x.tobytes() and (k1 == k).all() and pinned):
             times, m = _grid(t, t_end, dt, tiny, length)
             # the piece index, not k // 2: a continuity junction splits a band gap
             p0 = g._junctions.searchsorted(x1, side="left")
             # the bound dot is np.dot without its dispatch: 0.2 us less a step
             dot, subtract = self._map_for(p0, k).dot, np.subtract
             for j in range(1, m):
-                dot(rows[j], v)
-                subtract(xrows[j], v, xrows[j + 1])
-            # the selections of the later steps, bit for bit as ``selection`` computes them
-            gs, bs = self._gammas[1:m], self._banded_for(k)
-            np.multiply(g._slopes[p0], states[1:m], gs)
+                dot(rows[j], vn)
+                subtract(rows[j], v, rows[j + 1])
+            # the first later state that leaves its cell or the state space
+            e = _first_row(self._off_cell(states[2:m + 1], k + p0), m - 1) + 1
+            # Each step maps its row as the one before did, so an exact repeat lasts
+            # to the block's end. Bit patterns: == would equate -0.0 and 0.0.
+            if states[m].tobytes() == states[m - 1].tobytes():
+                repeats = (states[2:m + 1].view(np.uint64) == states[1:m].view(np.uint64)).all(axis=1)
+                e = min(e, int(repeats.argmax()) + 1)
+            # the selections of the later steps up to that cut, bit for bit as ``selection`` computes them
+            gs, bs = self._gammas[1:e], self._banded_for(k)
+            np.multiply(g._slopes[p0], states[1:e], gs)
             np.add(gs, g._intercepts[p0], gs)
-            e, new = m, states[2:m + 1]
-            stop = (((self.cells.searchsorted(new, side="right") != k + p0) | ~np.isfinite(new)).any(axis=1)
-                    # an exact repeat, by bit pattern: == would equate -0.0 and 0.0
-                    | (new.view(np.uint64) == states[1:m].view(np.uint64)).all(axis=1))
-            if bs is not None:  # a later step is not kept when its selection is clipped
+            if bs is not None and e > 1:  # a later step is not kept when its selection is clipped
                 for gj in gs:  # row by row: gs[:, f] @ K.T does not round as op @ gamma_f does
                     gj[bs.b] = bs.mid if bs.op is None else bs.op @ gj[bs.f]
                 gb = gs[:, bs.b]
-                stop |= ~((gb > bs.lo) & (gb < bs.hi)).all(axis=1)
-            if stop.any():
-                e = int(stop.argmax()) + 1
+                e = _first_row(~((gb > bs.lo) & (gb < bs.hi)), e - 1) + 1
             if consensus_tol is not None:
-                kept = states[1:e + 1]
-                reached = kept.max(axis=1) - kept.min(axis=1) < consensus_tol
-                if reached.any():
-                    e = int(reached.argmax()) + 1
+                # one row per component: max and min are exact in any order
+                kept = states[1:e + 1].T.copy()
+                reached = kept.max(axis=0) - kept.min(axis=0) < consensus_tol
+                i = int(reached.argmax())
+                if reached[i]:
+                    e = i + 1
             if e < m:
                 self._block_len = max(_BLOCK_MIN_STEPS, length // 2)
             elif m == length:

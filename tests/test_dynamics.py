@@ -646,6 +646,28 @@ def test_free_flight_matches_stepwise(monkeypatch, name, stride, reasons):
     assert reasons <= _cut_reasons(t, x, ends, lap, g, opts)
 
 
+def test_long_block_at_small_n_matches_stepwise(monkeypatch, uj):
+    # at n = 3 a block runs up to 4096 // 3 = 1365 steps; the run reaches the
+    # consensus tolerance in the middle of the first block of that length
+    graph = WeightedDigraph.from_edges(3, [(2, 0, 1.5), (0, 1, 2.25), (1, 2, 1.2)])
+    x0, opts = np.array([0.5, 2.0, 3.5]), SimOptions(dt=2e-3, t_max=60.0)
+    tried, block = [], dynamics._Stepper.block
+
+    def spy(self, *args):
+        if args[4] > args[2]:  # not a ``step`` block of the reference
+            tried.append(self._block_len)
+        return block(self, *args)
+
+    monkeypatch.setattr(dynamics._Stepper, "block", spy)
+    blocks, ends = _block_times(monkeypatch)
+    run = simulate_fixed(graph, uj, x0, opts)
+    t, x = assert_matches_stepwise(run, [(laplacian(graph), opts.t_max)], uj, x0, opts)
+    spread = x.max(axis=1) - x.min(axis=1)
+    assert run.summary.time_to_tol == t[-1] == ends[-1] == blocks[-1][-1]
+    assert spread[-2] >= opts.consensus_tol > spread[-1]
+    assert tried[-1] == dynamics._BLOCK_ELEMENTS // 3 > len(blocks[-1]) > 1000
+
+
 def test_free_flight_across_switching_segments_matches_stepwise(monkeypatch, uj):
     proc = process_for_blinking(BlinkingModel(n=6, K=1, p=0.3, w=1.0), ConstantDuration(0.25))
     x0 = np.random.default_rng(22).uniform(-3, 3, 6)
@@ -974,3 +996,20 @@ def test_cell_index_moves_with_band_edge_or_piece_index(make_g, band):
     same_kp = (k[:, None] == k[None, :]) & (p[:, None] == p[None, :])
     np.testing.assert_array_equal(same_cell, same_kp)
     assert len(np.unique(cell)) == len(stepper.edges) + len(g._junctions) + 1
+
+
+@pytest.mark.parametrize("make_g", [unit_jump, _two_jump_function, _continuity_function])
+@pytest.mark.parametrize("band", [1e-6, 0.25])
+def test_cell_bracket_is_the_cell_search(make_g, band):
+    # the post-check's bracket lo[c] <= x < hi[c] stands for "x is finite and in cell c"
+    g = make_g()
+    stepper = dynamics._Stepper(L2, g, SimOptions(band=band))
+    big = np.finfo(float).max
+    marks = np.concatenate((stepper.cells, stepper.edges, g._junctions, g.breakpoint_xs))
+    xs = np.concatenate((marks, np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf),
+                         [0.0, -0.0, np.inf, -np.inf, np.nan, big, -big]))
+    cells = np.arange(len(stepper.cells) + 1)
+    in_cell = (stepper.cells.searchsorted(xs, side="right")[:, None] == cells) & np.isfinite(xs)[:, None]
+    # one cell per column, as a block tests each component against its own cell
+    np.testing.assert_array_equal(stepper._off_cell(xs[:, None], cells), ~in_cell)
+    assert in_cell.any(axis=0).all() and not in_cell[~np.isfinite(xs)].any()

@@ -365,11 +365,14 @@ def test_stacked_eta_draws_match_one_at_a_time(monkeypatch, params):
         assert np.count_nonzero(vals > 0) > n_samples // 2
 
 
-def test_stacked_eta_draws_of_a_fixed_graph(fig1):
-    for n_samples in _stack_sizes(fig1.n):
-        _, mean, se = eta_one_at_a_time(lambda rng: fig1, n_samples, 3)
-        est = estimate_expected_eta(FixedGraphSampler(fig1), n_samples, rng_seed=3)
-        assert (est.mean, est.std_error, est.n_samples) == (mean, se, n_samples)
+def test_stacked_eta_draws_of_a_fixed_graph(fig1, fig4):
+    # fig1 scrambles and fig4 does not
+    for graph in (fig1, fig4):
+        for n_samples in _stack_sizes(graph.n):
+            vals, mean, se = eta_one_at_a_time(lambda rng: graph, n_samples, 3)
+            est = estimate_expected_eta(FixedGraphSampler(graph), n_samples, rng_seed=3)
+            assert (est.mean, est.std_error, est.n_samples) == (mean, se, n_samples)
+        assert (vals > 0).all() == (graph is fig1)
 
 
 @pytest.mark.parametrize("params", _ETA_MODELS, ids=str)
