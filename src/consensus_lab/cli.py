@@ -10,6 +10,11 @@ Modes: analyze, fixed, switching, blinking, expected-eta. A run writes
 ``summary.json`` plus, depending on the mode, ``trajectory.csv``,
 ``intervals.csv``, a ``graph.edges`` echo and ``graphs/`` interval dumps.
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
+
+``run`` has a parse phase: it reads every section the mode needs through ``_read``,
+which turns a reader's KeyError, TypeError, AttributeError or ValueError into a
+ConfigError naming the section. Its run phase then makes the output directory
+and writes each output once, so a config error writes nothing.
 """
 
 from __future__ import annotations
@@ -129,7 +134,7 @@ def load_config(path: str | Path, mode: str | None = None,
                 raw["options"]["t_max"] = value
             else:
                 raw[key] = value
-    cfg = ExperimentConfig(**raw, base_dir=str(path.parent))
+    cfg = _read("mode", ExperimentConfig, **raw, base_dir=str(path.parent))
     if mode is not None and cfg.mode != mode:
         raise ConfigError(f"config declares mode {cfg.mode!r} but {mode!r} was requested")
     if cfg.mode not in MODES:
@@ -151,27 +156,34 @@ def _derived_seed(seed: int, *path: int) -> int:
     return int(np.random.SeedSequence([seed, *path]).generate_state(1)[0])
 
 
-def _load_graph(cfg: ExperimentConfig) -> WeightedDigraph:
-    spec = cfg.graph or {}
-    if "edge_list" not in spec:
-        raise ConfigError(f"mode {cfg.mode!r} needs a graph edge_list path")
+def _read(key: str, reader, *args, **kwargs):
+    """``reader(*args, **kwargs)``, the reader of config section ``key``. A KeyError, TypeError,
+    AttributeError or ValueError it raises becomes a ConfigError naming ``key``."""
+    try:
+        return reader(*args, **kwargs)
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{key}: missing field {exc}") from None
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def _graph(cfg: ExperimentConfig) -> WeightedDigraph | BlinkingModel:
+    """The config's graph: its blinking model, or the graph its edge list holds."""
+    spec = cfg.graph
+    if cfg.mode == "blinking" or (cfg.mode == "expected-eta" and "blinking" in spec):
+        return BlinkingModel(**spec["blinking"])
+    if not isinstance(spec["edge_list"], str):
+        raise TypeError(f"edge_list must be a path, got {spec['edge_list']!r}")
     path = Path(cfg.base_dir) / spec["edge_list"]
     if not path.exists():
         raise ConfigError(f"edge list file not found: {path}")
-    try:
-        return read_edge_list(path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _blinking_model(cfg: ExperimentConfig) -> BlinkingModel:
-    spec = (cfg.graph or {}).get("blinking")
-    if spec is None:
-        raise ConfigError(f"mode {cfg.mode!r} needs graph.blinking parameters")
-    try:
-        return BlinkingModel(**spec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad blinking parameters: {exc}") from None
+    graph = read_edge_list(path)
+    # the scrambling coefficient of an interval, which these modes read, needs two vertices
+    if graph.n < 2 and cfg.mode in ("switching", "expected-eta"):
+        raise ConfigError(f"mode {cfg.mode!r} needs at least two vertices, the graph has {graph.n}")
+    return graph
 
 
 def _floats(name: str, values) -> list[float]:
@@ -183,7 +195,7 @@ def _floats(name: str, values) -> list[float]:
 
 
 def _durations(cfg: ExperimentConfig):
-    spec = cfg.durations or {}
+    spec = cfg.durations
     if "constant" in spec:
         value, = _floats("durations.constant", [spec["constant"]])
         if value <= 0:
@@ -200,17 +212,8 @@ def _durations(cfg: ExperimentConfig):
     raise ConfigError("durations must be {'constant': v} or {'uniform': [lo, hi]}")
 
 
-def _function(cfg: ExperimentConfig):
-    try:
-        return function_from_config(cfg.function or {})
-    except KeyError as exc:
-        raise ConfigError(f"bad function spec: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad function spec: {exc}") from None
-
-
 def _initial_state(cfg: ExperimentConfig, n: int) -> np.ndarray:
-    spec = cfg.x0 or {}
+    spec = cfg.x0
     if "values" in spec:
         x0 = np.asarray(_floats("x0.values", spec["values"]))
         if x0.shape != (n,):
@@ -221,8 +224,8 @@ def _initial_state(cfg: ExperimentConfig, n: int) -> np.ndarray:
         if not isinstance(bounds, dict) or not {"lo", "hi"} <= bounds.keys():
             raise ConfigError(f"x0.uniform needs 'lo' and 'hi', got {bounds!r}")
         lo, hi = _floats("x0.uniform", [bounds["lo"], bounds["hi"]])
-        if not lo < hi:
-            raise ConfigError("x0 uniform range needs lo < hi")
+        if not (lo < hi and np.isfinite(hi - lo)):
+            raise ConfigError("x0 uniform range needs lo < hi, with hi - lo finite")
         rng = np.random.default_rng(_derived_seed(cfg.seed, 0))
         return rng.uniform(lo, hi, size=n)
     raise ConfigError("x0 must be {'values': [...]} or {'uniform': {'lo': a, 'hi': b}}")
@@ -270,77 +273,64 @@ def _out_dir(cfg: ExperimentConfig, config_path: Path | None) -> Path:
 
 
 def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
-    """Execute one experiment; returns the summary dict written to disk."""
+    """Execute one experiment, parse phase then run phase; returns the summary dict written to disk."""
+    needs = _MODE_REQUIRES[cfg.mode]
+    simulated = "function" in needs
+    opts = cfg.sim_options() if simulated else None
+    g = x0 = durations = None
+    if simulated or (cfg.mode == "analyze" and cfg.function and cfg.x0):
+        g = _read("function", function_from_config, cfg.function)
+    graph = _read("graph", _graph, cfg)
+    if "durations" in needs:
+        durations = _read("durations", _durations, cfg)
+    if g is not None:
+        x0 = _read("x0", _initial_state, cfg, graph.n)
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     config = dataclasses.asdict(cfg)
     config.pop("base_dir")
     summary = {"mode": cfg.mode, "seed": cfg.seed, "config": config, "defaults": _block(SimOptions())}
-
-    if cfg.mode == "analyze":
-        graph = _load_graph(cfg)
-        report = summary["graph"] = _graph_report(graph, cfg.delta)
-        if cfg.function and cfg.x0:
-            g = _function(cfg)
-            x0 = _initial_state(cfg, graph.n)
-            summary["wra_predicted"] = wra(x0, graph) if report["has_spanning_tree"] else None
-            if report["has_spanning_tree"] and not report["s2"]:
-                summary["finite_time_bound"] = finite_time_bound(graph, g, x0)
-        write_edge_list(graph, out / "graph.edges")
-        _write_json(out / "summary.json", summary)
-        return summary
-
     if cfg.mode == "expected-eta":
-        if "blinking" in (cfg.graph or {}):
-            sampler = BlinkingSampler(_blinking_model(cfg))
-        else:
-            sampler = FixedGraphSampler(_load_graph(cfg))
+        sampler = BlinkingSampler(graph) if isinstance(graph, BlinkingModel) else FixedGraphSampler(graph)
         est = estimate_expected_eta(sampler, cfg.n_samples, _derived_seed(cfg.seed, 2))
         summary["expected_eta"] = _block(est)
-        _write_json(out / "summary.json", summary)
-        return summary
-
-    opts = cfg.sim_options()
-    g = _function(cfg)
-    if cfg.mode == "blinking":
-        model = _blinking_model(cfg)
-        proc = process_for_blinking(model, _durations(cfg))
-        summary["blinking"] = _block(model)
-        n = model.n
+    elif cfg.mode == "blinking":
+        summary["blinking"] = _block(graph)
     else:
-        graph = _load_graph(cfg)
-        if cfg.mode == "switching":
-            proc = process_for_graph(graph, _durations(cfg))
         report = summary["graph"] = _graph_report(graph, cfg.delta)
-        n = graph.n
         write_edge_list(graph, out / "graph.edges")
-    x0 = _initial_state(cfg, n)
-    summary["x0"] = [float(v) for v in x0]
-
-    def dump(interval: ScheduleInterval) -> None:
-        if interval.k % cfg.graph_dump_stride == 0:
-            (out / "graphs").mkdir(exist_ok=True)
-            write_edge_list(interval.graph, out / "graphs" / f"interval_{interval.k:06d}.edges")
-
-    try:
-        if cfg.mode == "fixed":
-            result = simulate_fixed(graph, g, x0, opts, record_stride=cfg.stride)
-        else:
-            result = simulate_switching(
-                proc, g, x0, opts, seed=_derived_seed(cfg.seed, 1), record_stride=cfg.stride,
-                delta=cfg.delta, on_interval=dump if cfg.graph_dump_stride > 0 else None,
-            )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    result.trajectory.to_csv(out / "trajectory.csv")
-    if cfg.mode == "fixed":
-        if report["has_spanning_tree"] and not report["s2"]:
+        if cfg.mode == "analyze" and x0 is not None:
+            summary["wra_predicted"] = wra(x0, graph) if report["has_spanning_tree"] else None
+        if cfg.mode != "switching" and x0 is not None and report["has_spanning_tree"] and not report["s2"]:
             summary["finite_time_bound"] = finite_time_bound(graph, g, x0)
-        summary["result"] = _block(result.summary)
-    else:
-        run_fields = summary["result"] = _block(result.summary, RunSummary)
-        summary["switching"] = {k: v for k, v in _block(result.summary).items() if k not in run_fields}
-        write_interval_reports_csv(result.reports, out / "intervals.csv")
+    if simulated:
+        summary["x0"] = [float(v) for v in x0]
+
+        def dump(interval: ScheduleInterval) -> None:
+            if interval.k % cfg.graph_dump_stride == 0:
+                (out / "graphs").mkdir(exist_ok=True)
+                write_edge_list(interval.graph, out / "graphs" / f"interval_{interval.k:06d}.edges")
+
+        try:
+            if cfg.mode == "fixed":
+                result = simulate_fixed(graph, g, x0, opts, record_stride=cfg.stride)
+            else:
+                process_for = process_for_blinking if cfg.mode == "blinking" else process_for_graph
+                result = simulate_switching(
+                    process_for(graph, durations), g, x0, opts, seed=_derived_seed(cfg.seed, 1),
+                    record_stride=cfg.stride, delta=cfg.delta,
+                    on_interval=dump if cfg.graph_dump_stride > 0 else None,
+                )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        result.trajectory.to_csv(out / "trajectory.csv")
+        if cfg.mode == "fixed":
+            summary["result"] = _block(result.summary)
+        else:
+            run_fields = summary["result"] = _block(result.summary, RunSummary)
+            summary["switching"] = {k: v for k, v in _block(result.summary).items() if k not in run_fields}
+            write_interval_reports_csv(result.reports, out / "intervals.csv")
     _write_json(out / "summary.json", summary)
     return summary
 
@@ -355,7 +345,6 @@ def _run_indexed(args: tuple[ExperimentConfig, Path, int]) -> tuple[int, dict]:
 def run_batch(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     """Monte Carlo batch: cfg.runs concurrent runs with derived per-run seeds."""
     out_root = Path(out_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
     jobs = [(cfg, out_root, idx) for idx in range(cfg.runs)]
     # a worker per run: a fork pool starts all of its workers at once
     with ProcessPoolExecutor(max_workers=min(cfg.runs, os.cpu_count() or 1)) as pool:

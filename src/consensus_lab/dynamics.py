@@ -105,6 +105,12 @@ def _first_row(mask: np.ndarray, none: int) -> int:
     return i // mask.shape[1] if mask.flat[i] else none
 
 
+def _check_length(x: np.ndarray, lap: np.ndarray) -> None:
+    """A ValueError unless the state ``x`` has one entry per row of the Laplacian ``lap``."""
+    if x.shape != (len(lap),):
+        raise ValueError(f"state must have length {len(lap)}")
+
+
 class IntegrationError(RuntimeError):
     """Raised when the state leaves the representable range (NaN/overflow)."""
 
@@ -492,6 +498,7 @@ def step(state: State, lap: np.ndarray, g: ClassAFunction, opts: SimOptions,
     """One integrator step from ``state``; see the module docstring for semantics."""
     stepper = _Stepper(lap, validated(g), opts)
     x = np.asarray(state.x, dtype=float)
+    _check_length(x, lap)
     k = stepper.edges.searchsorted(x, side="right")
     cap = dt_limit if dt_limit is not None else opts.dt
     # a block that ends at state.t has no time left for a second step
@@ -543,6 +550,7 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
     tiny = 1e-12 * max(1.0, opts.t_max)
     stepper = None
     for lap, t_end in segments:
+        _check_length(x, lap)
         stepper = stepper.use(lap) if stepper else _Stepper(lap, g, opts)
         v_start = disagreement(x).spread
         while True:
@@ -618,8 +626,6 @@ def simulate_fixed(graph: WeightedDigraph, g: ClassAFunction, x0: np.ndarray,
     """
     g = validated(g)
     x = np.array(x0, dtype=float)
-    if x.shape != (graph.n,):
-        raise ValueError(f"x0 must have length {graph.n}")
     if not x.size or not np.isfinite(x).all():
         raise ValueError("x0 must be non-empty and finite")
     try:

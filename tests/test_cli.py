@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -20,6 +21,11 @@ def bundle(tmp_path):
 
 def read_summary(out):
     return json.loads((out / "summary.json").read_text())
+
+
+def _write_config(path, **raw):
+    path.write_text(json.dumps(raw))
+    return path
 
 
 def test_bundled_examples_present():
@@ -246,6 +252,7 @@ def test_x0_length_mismatch(bundle, tmp_path):
     assert main(["fixed", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
 
+_MISSING = object()  # a config key left out
 _AFFINE = {"interval": ["-inf", "inf"], "kind": "affine"}
 _JUMP = {"pieces": [{"interval": ["-inf", 0.0], "slope": 1.0, "intercept": 0.0},
                     {"interval": [0.0, "inf"], "slope": 1.0, "intercept": 1.0}]}
@@ -280,6 +287,17 @@ _JUMP = {"pieces": [{"interval": ["-inf", 0.0], "slope": 1.0, "intercept": 0.0},
     ("seed", "abc", "seed"),
     ("out", 5, "out"),
     ("name", ["x"], "name"),
+    ("mode", _MISSING, "mode"),
+    ("graph", 5, "graph"),
+    ("graph", "edge_list.edges", "graph"),
+    ("graph", {"edge_list": 5}, "graph"),
+    ("graph", {"edge_list": ["a"]}, "graph"),
+    ("x0", 5, "x0"),
+    ("x0", {"values": [1.0, 2.0]}, "x0"),
+    ("durations", 5, "durations"),
+    ("function", {"pieces": {"interval": ["-inf", "inf"], "slope": 1.0, "intercept": 0.0}}, "function"),
+    ("function", {"pieces": [5]}, "function"),
+    ("x0", {"uniform": {"lo": "-inf", "hi": 5.0}}, "x0 uniform range"),
 ])
 def test_malformed_config_field_exits_2(bundle, tmp_path, capsys, key, value, field):
     cfg = {
@@ -292,10 +310,43 @@ def test_malformed_config_field_exits_2(bundle, tmp_path, capsys, key, value, fi
         key: value,
     }
     p = tmp_path / "c.json"
-    p.write_text(json.dumps(cfg))
+    p.write_text(json.dumps({k: v for k, v in cfg.items() if v is not _MISSING}))
     assert main(["switching", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and field in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_x0_length_mismatch_in_a_batch_writes_nothing(bundle, tmp_path, capsys):
+    p = _write_config(tmp_path / "c.json", mode="fixed",
+                      graph={"edge_list": str(bundle / "graphs" / "fig1.edges")},
+                      function={"preset": "unit-jump"}, x0={"values": [1.0, 2.0]})
+    out = tmp_path / "o"
+    assert main(["fixed", "--config", str(p), "--out", str(out), "--runs", "3"]) == 2
+    assert "config error: x0 has 2 entries but the graph has 4 vertices" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["switching", "expected-eta"])
+def test_one_vertex_graph_rejected_before_writing(tmp_path, capsys, mode):
+    (tmp_path / "one.edges").write_text("n 1\n")
+    extra = {} if mode == "expected-eta" else {
+        "durations": {"constant": 0.5}, "function": {"preset": "unit-jump"}, "x0": {"values": [0.0]}}
+    p = _write_config(tmp_path / "c.json", mode=mode, graph={"edge_list": "one.edges"}, **extra)
+    out = tmp_path / "o"
+    assert main([mode, "--config", str(p), "--out", str(out)]) == 2
+    assert f"config error: mode {mode!r} needs at least two vertices" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["analyze", "fixed"])
+def test_one_vertex_graph_runs_in_analyze_and_fixed(tmp_path, mode):
+    (tmp_path / "one.edges").write_text("n 1\n")
+    p = _write_config(tmp_path / "c.json", mode=mode, graph={"edge_list": "one.edges"},
+                      function={"preset": "unit-jump"}, x0={"values": [0.5]})
+    out = tmp_path / "o"
+    assert main([mode, "--config", str(p), "--out", str(out)]) == 0
+    assert read_summary(out)["graph"]["n"] == 1
 
 
 @pytest.mark.parametrize("name", ["double-star", "blinking-50"])
@@ -492,3 +543,101 @@ def test_bundled_configs_run_unchanged(tmp_path):
     cfg = load_config(bundle / "fig1-analyze.json")
     summary = run(cfg, tmp_path / "out")
     assert summary["graph"]["eta_hat"] == 1.0
+
+
+@pytest.fixture
+def cycle(tmp_path):
+    """A 3-cycle edge list: strongly connected, so every mode that reads a graph accepts it."""
+    path = tmp_path / "cycle.edges"
+    path.write_text("n 3\n0 1 1.0\n1 2 1.0\n2 0 1.0\n")
+    return path
+
+
+@pytest.mark.parametrize("graph_name, x0", [
+    ("fig1", [-1.0, 1.0, 0.0, 0.0]),
+    ("fig4", [1.0, 1.0, 0.5, -0.5, -1.0, -1.0]),
+])
+def test_analyze_with_function_and_x0(bundle, tmp_path, graph_name, x0):
+    # fig1 has a spanning tree whose root set is not every vertex: a prediction, no bound;
+    # fig4 has no spanning tree: no prediction
+    p = _write_config(tmp_path / "a.json", mode="analyze",
+                      graph={"edge_list": str(bundle / "graphs" / f"{graph_name}.edges")},
+                      function={"preset": "unit-jump"}, x0={"values": x0})
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(p), "--out", str(out)]) == 0
+    s = read_summary(out)
+    assert "finite_time_bound" not in s and "x0" not in s
+    if graph_name == "fig1":
+        assert isinstance(s["wra_predicted"], float)
+    else:
+        assert s["wra_predicted"] is None and s["graph"]["has_spanning_tree"] is False
+
+
+def test_analyze_finite_time_bound_on_a_cycle(cycle, tmp_path):
+    p = _write_config(tmp_path / "a.json", mode="analyze", graph={"edge_list": cycle.name},
+                      function={"preset": "unit-jump"}, x0={"values": [-1.0, 0.0, 1.0]})
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(p), "--out", str(out)]) == 0
+    s = read_summary(out)
+    assert s["wra_predicted"] == pytest.approx(0.0, abs=1e-15)
+    assert s["finite_time_bound"] == pytest.approx(8 / 3)
+    assert (out / "graph.edges").read_text() == cycle.read_text()
+
+
+def test_switching_summary_has_no_finite_time_bound(bundle, tmp_path):
+    p = _write_config(tmp_path / "sw.json", mode="switching",
+                      graph={"edge_list": str(bundle / "graphs" / "fig1.edges")},
+                      durations={"constant": 0.2}, function={"preset": "unit-jump"},
+                      x0={"values": [-1.0, 1.0, 0.0, 0.0]}, options={"t_max": 1.0},
+                      delta=1.0, graph_dump_stride=2)
+    out = tmp_path / "out"
+    assert main(["switching", "--config", str(p), "--out", str(out)]) == 0
+    s = read_summary(out)
+    assert "finite_time_bound" not in s and "wra_predicted" not in s
+    assert s["graph"]["delta_scrambling"] == {"1.0": True}
+    assert (out / "graphs" / "interval_000000.edges").exists()
+
+
+def test_examples_out_writes_configs_that_run(tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    assert main(["examples", "--out", str(bundle)]) == 0
+    assert capsys.readouterr().out == f"wrote 4 configs to {bundle}\n"
+    for name, raw in bundled_examples().items():
+        out = tmp_path / name
+        assert main([raw["mode"], "--config", str(bundle / f"{name}.json"), "--out", str(out),
+                     "--t-max", "0.5"]) == 0
+        assert (out / "summary.json").exists()
+
+
+def test_no_config_argument_exits_2(capsys):
+    assert main(["fixed"]) == 2
+    assert "config error: --config is required" in capsys.readouterr().err
+
+
+def test_runtime_error_exits_3(cycle, tmp_path, capsys):
+    # dt = 10 on a Laplacian of norm 2 makes the identity protocol diverge
+    p = _write_config(tmp_path / "c.json", mode="fixed", graph={"edge_list": cycle.name},
+                      function={"preset": "identity"}, x0={"values": [-1.0, 0.0, 1.0]},
+                      options={"dt": 10.0, "t_max": 1e5})
+    assert main(["fixed", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
+    assert "runtime error: state overflow" in capsys.readouterr().err
+
+
+def test_default_out_dir(cycle, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    p = _write_config(tmp_path / "cyc.json", mode="analyze", graph={"edge_list": cycle.name})
+    assert main(["analyze", "--config", str(p)]) == 0
+    assert (tmp_path / "cyc.out" / "summary.json").exists()
+    _write_config(p, mode="analyze", graph={"edge_list": cycle.name}, name="named")
+    assert main(["analyze", "--config", str(p)]) == 0
+    assert (tmp_path / "named.out" / "summary.json").exists()
+
+
+def test_module_entry_point_exits_2_on_config_error(tmp_path):
+    p = _write_config(tmp_path / "c.json", mode="analyze", graph={"edge_list": "missing.edges"})
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "consensus_lab.cli", "analyze", "--config", str(p),
+                           "--out", str(tmp_path / "o")], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "config error: edge list file not found" in proc.stderr

@@ -209,6 +209,23 @@ def test_finite_time_bound_rejects_bad_x0(two_node, uj, size):
         finite_time_bound(two_node, uj, np.zeros(size))
 
 
+def test_step_rejects_a_state_of_the_wrong_length(fig1, uj):
+    with pytest.raises(ValueError, match="state must have length 4"):
+        step(State(0.0, np.array([0.0, 1.0, 2.0])), laplacian(fig1), uj, SimOptions())
+
+
+def test_simulate_fixed_rejects_x0_of_the_wrong_length(fig4, uj):
+    with pytest.raises(ValueError, match="state must have length 6"):
+        simulate_fixed(fig4, uj, np.array([0.0, 1.0, 2.0]), SimOptions())
+
+
+def test_integrate_checks_every_segment_length(fig1, uj):
+    # the second segment's Laplacian has 3 rows for the 4 entries of the state
+    segments = [(laplacian(fig1), 0.01), (np.eye(3), 0.02)]
+    with pytest.raises(ValueError, match="state must have length 3"):
+        dynamics.integrate(segments, uj, np.array([-5.0, 5.0, 0.0, 1.0]), SimOptions(t_max=1.0))
+
+
 def test_trajectory_csv_format(tmp_path, two_node, uj):
     run = simulate_fixed(two_node, uj, np.array([-1.0, 1.0]), SimOptions(dt=1e-2, t_max=1.0),
                          record_stride=5)

@@ -232,6 +232,12 @@ def test_switching_rejects_empty_x0(fig1, uj):
                            SimOptions(), seed=0)
 
 
+def test_switching_rejects_x0_of_the_wrong_length(fig1, uj):
+    with pytest.raises(ValueError, match="state must have length 4"):
+        simulate_switching(process_for_graph(fig1, ConstantDuration(1.0)), uj,
+                           np.array([0.0, 1.0, 2.0]), SimOptions(t_max=2.0), seed=0)
+
+
 @pytest.mark.parametrize("name, x0, t_max", [
     ("double_star", np.random.default_rng(7).uniform(-5, 5, 12), 100.0),
     ("fig4", np.array([1.0, 1.0, 0.3, -0.2, -1.0, -1.0]), 5.0),
