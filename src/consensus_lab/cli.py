@@ -11,10 +11,10 @@ Modes: analyze, fixed, switching, blinking, expected-eta. A run writes
 ``intervals.csv``, a ``graph.edges`` echo and ``graphs/`` interval dumps.
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 
-``run`` has a parse phase: it reads every section the mode needs through ``_read``,
-which turns a reader's KeyError, TypeError, AttributeError or ValueError into a
-ConfigError naming the section. Its run phase then makes the output directory
-and writes each output once, so a config error writes nothing.
+``run`` parses, then runs. Only its parse phase raises ConfigError: it reads every section the
+mode needs through ``_read``, which turns a reader's KeyError, TypeError, AttributeError or
+ValueError into a ConfigError naming the section. The run phase makes the output directory and
+writes each output once, so a config error writes nothing; a simulation's ValueError exits 3.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bundled
-from .dynamics import RunSummary, SimOptions, finite_time_bound, simulate_fixed
+from .dynamics import RunSummary, SimOptions, band_edges, finite_time_bound, simulate_fixed
 from .graph import (
     WeightedDigraph,
     is_delta_scrambling,
@@ -198,7 +198,7 @@ def _durations(cfg: ExperimentConfig):
     spec = cfg.durations
     if "constant" in spec:
         value, = _floats("durations.constant", [spec["constant"]])
-        if value <= 0:
+        if not value > 0:  # NaN included
             raise ConfigError("constant duration must be positive")
         return ConstantDuration(value)
     if "uniform" in spec:
@@ -206,8 +206,8 @@ def _durations(cfg: ExperimentConfig):
         if len(bounds) != 2:
             raise ConfigError(f"durations.uniform needs two values [lo, hi], got {spec['uniform']!r}")
         lo, hi = bounds
-        if not 0 <= lo < hi:
-            raise ConfigError("uniform duration needs 0 <= lo < hi")
+        if not 0 <= lo < hi < float("inf"):
+            raise ConfigError("uniform duration needs 0 <= lo < hi < inf")
         return UniformDuration(lo, hi)
     raise ConfigError("durations must be {'constant': v} or {'uniform': [lo, hi]}")
 
@@ -218,6 +218,8 @@ def _initial_state(cfg: ExperimentConfig, n: int) -> np.ndarray:
         x0 = np.asarray(_floats("x0.values", spec["values"]))
         if x0.shape != (n,):
             raise ConfigError(f"x0 has {x0.size} entries but the graph has {n} vertices")
+        if not np.isfinite(x0).all():
+            raise ConfigError(f"x0.values must be finite, got {spec['values']!r}")
         return x0
     if "uniform" in spec:
         bounds = spec["uniform"]
@@ -272,24 +274,34 @@ def _out_dir(cfg: ExperimentConfig, config_path: Path | None) -> Path:
     return Path(f"{stem}.out")
 
 
-def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
-    """Execute one experiment, parse phase then run phase; returns the summary dict written to disk."""
+def _parse(cfg: ExperimentConfig) -> tuple:
+    """The parse phase of ``run``: ``(cfg, opts, g, graph, durations, x0)``, None where the mode
+    reads no such section. It raises every ConfigError, jump bands that overlap included."""
     needs = _MODE_REQUIRES[cfg.mode]
     simulated = "function" in needs
     opts = cfg.sim_options() if simulated else None
     g = x0 = durations = None
     if simulated or (cfg.mode == "analyze" and cfg.function and cfg.x0):
         g = _read("function", function_from_config, cfg.function)
+    if simulated:
+        try:
+            band_edges(g.breakpoint_xs, opts.band)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     graph = _read("graph", _graph, cfg)
     if "durations" in needs:
         durations = _read("durations", _durations, cfg)
     if g is not None:
         x0 = _read("x0", _initial_state, cfg, graph.n)
+    return cfg, opts, g, graph, durations, x0
 
+
+def _execute(sections: tuple, out_dir: str | Path) -> dict:
+    """The run phase of ``run`` on the sections ``_parse`` read; returns the summary dict written."""
+    cfg, opts, g, graph, durations, x0 = sections
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config = dataclasses.asdict(cfg)
-    config.pop("base_dir")
+    config = {k: v for k, v in dataclasses.asdict(cfg).items() if k != "base_dir"}
     summary = {"mode": cfg.mode, "seed": cfg.seed, "config": config, "defaults": _block(SimOptions())}
     if cfg.mode == "expected-eta":
         sampler = BlinkingSampler(graph) if isinstance(graph, BlinkingModel) else FixedGraphSampler(graph)
@@ -304,7 +316,7 @@ def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
             summary["wra_predicted"] = wra(x0, graph) if report["has_spanning_tree"] else None
         if cfg.mode != "switching" and x0 is not None and report["has_spanning_tree"] and not report["s2"]:
             summary["finite_time_bound"] = finite_time_bound(graph, g, x0)
-    if simulated:
+    if opts is not None:
         summary["x0"] = [float(v) for v in x0]
 
         def dump(interval: ScheduleInterval) -> None:
@@ -312,44 +324,37 @@ def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
                 (out / "graphs").mkdir(exist_ok=True)
                 write_edge_list(interval.graph, out / "graphs" / f"interval_{interval.k:06d}.edges")
 
-        try:
-            if cfg.mode == "fixed":
-                result = simulate_fixed(graph, g, x0, opts, record_stride=cfg.stride)
-            else:
-                process_for = process_for_blinking if cfg.mode == "blinking" else process_for_graph
-                result = simulate_switching(
-                    process_for(graph, durations), g, x0, opts, seed=_derived_seed(cfg.seed, 1),
-                    record_stride=cfg.stride, delta=cfg.delta,
-                    on_interval=dump if cfg.graph_dump_stride > 0 else None,
-                )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        result.trajectory.to_csv(out / "trajectory.csv")
         if cfg.mode == "fixed":
+            result = simulate_fixed(graph, g, x0, opts, record_stride=cfg.stride)
             summary["result"] = _block(result.summary)
         else:
+            process_for = process_for_blinking if cfg.mode == "blinking" else process_for_graph
+            result = simulate_switching(
+                process_for(graph, durations), g, x0, opts, seed=_derived_seed(cfg.seed, 1),
+                record_stride=cfg.stride, delta=cfg.delta,
+                on_interval=dump if cfg.graph_dump_stride > 0 else None,
+            )
             run_fields = summary["result"] = _block(result.summary, RunSummary)
             summary["switching"] = {k: v for k, v in _block(result.summary).items() if k not in run_fields}
             write_interval_reports_csv(result.reports, out / "intervals.csv")
+        result.trajectory.to_csv(out / "trajectory.csv")
     _write_json(out / "summary.json", summary)
     return summary
 
 
-def _run_indexed(args: tuple[ExperimentConfig, Path, int]) -> tuple[int, dict]:
-    cfg, out_root, idx = args
-    sub = dataclasses.replace(cfg, seed=_derived_seed(cfg.seed, 100, idx), runs=1)
-    summary = run(sub, out_root / f"run_{idx:03d}")
-    return idx, summary
+def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
+    """Execute one experiment, parse phase then run phase; returns the summary dict written to disk."""
+    return _execute(_parse(cfg), out_dir)
 
 
 def run_batch(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
-    """Monte Carlo batch: cfg.runs concurrent runs with derived per-run seeds."""
+    """Monte Carlo batch: cfg.runs concurrent runs with derived seeds, each parsed before the pool starts."""
     out_root = Path(out_dir)
-    jobs = [(cfg, out_root, idx) for idx in range(cfg.runs)]
+    runs = [_parse(dataclasses.replace(cfg, seed=_derived_seed(cfg.seed, 100, idx), runs=1))
+            for idx in range(cfg.runs)]
     # a worker per run: a fork pool starts all of its workers at once
     with ProcessPoolExecutor(max_workers=min(cfg.runs, os.cpu_count() or 1)) as pool:
-        results = sorted(pool.map(_run_indexed, jobs))
-    summaries = [s for _, s in results]
+        summaries = list(pool.map(_execute, runs, [out_root / f"run_{i:03d}" for i in range(cfg.runs)]))
     reached = [s.get("result", {}).get("consensus_reached") for s in summaries]
     aggregate = {
         "runs": cfg.runs,

@@ -111,6 +111,15 @@ def _check_length(x: np.ndarray, lap: np.ndarray) -> None:
         raise ValueError(f"state must have length {len(lap)}")
 
 
+def band_edges(xs: np.ndarray, band: float) -> list[float]:
+    """Edges of the bands [b - band, b + band] around the abscissas b in ``xs``; a ValueError if two overlap.
+    ``searchsorted(edges, x, side="right")`` is odd exactly when x is in a band, and counts those below."""
+    edges = [e for b in xs.tolist() for e in (b - band, math.nextafter(b + band, math.inf))]
+    if edges != sorted(edges):
+        raise ValueError("jump bands overlap: breakpoints must be more than 2*band apart")
+    return edges
+
+
 class IntegrationError(RuntimeError):
     """Raised when the state leaves the representable range (NaN/overflow)."""
 
@@ -165,9 +174,6 @@ class Trajectory:
     @property
     def n(self) -> int:
         return self.x.shape[1]
-
-    def sliding_set(self, k: int) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.sliding[k]))
 
     def to_csv(self, path: str | Path) -> None:
         """Write one ``t,x_0,...,x_{n-1},V`` row per recorded sample: ``record_stride`` is the only stride.
@@ -261,7 +267,7 @@ class _BandedSet(NamedTuple):
 
 
 class _Stepper:
-    """Precomputed arrays for repeated stepping, one Laplacian at a time; see ``use``."""
+    """Band edges (``band_edges``), cells and buffers for stepping, one Laplacian at a time; see ``use``."""
 
     def __init__(self, lap: np.ndarray, g: ClassAFunction, opts: SimOptions):
         self.g = g
@@ -271,12 +277,7 @@ class _Stepper:
         self.bxs = g.breakpoint_xs + 0.0
         self.blo = g.breakpoint_left
         self.bhi = g.breakpoint_right
-        # Band k is [b_k - band, b_k + band]; searchsorted(edges, x, side="right")
-        # is odd exactly when x lies in a band, and counts the bands below it.
-        edges = [e for b in self.bxs.tolist()
-                 for e in (b - opts.band, math.nextafter(b + opts.band, math.inf))]
-        if edges != sorted(edges):
-            raise ValueError("jump bands overlap: breakpoints must be more than 2*band apart")
+        edges = band_edges(self.bxs, opts.band)
         self.edges = np.array(edges)
         # x's cell index k + p, with p its piece index: a junction j lies below x,
         # j < x, exactly when nextafter(j, inf) <= x. k and p never fall as x

@@ -42,13 +42,17 @@ class WeightedDigraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "WeightedDigraph":
-        """Build from (src, dst, weight) triples; an edge src->dst sets W[dst, src]."""
+        """Build from (src, dst, weight) triples, no pair twice; an edge src->dst sets W[dst, src]."""
         w = np.zeros((n, n))
+        seen = set()
         for src, dst, weight in edges:
             if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError(f"edge ({src}, {dst}) out of range for n={n}")
             if src == dst:
                 raise ValueError(f"self-loop at vertex {src}")
+            if (src, dst) in seen:
+                raise ValueError(f"edge ({src}, {dst}) is repeated")
+            seen.add((src, dst))
             w[dst, src] = weight
         return cls(n, w)
 

@@ -298,6 +298,10 @@ _JUMP = {"pieces": [{"interval": ["-inf", 0.0], "slope": 1.0, "intercept": 0.0},
     ("function", {"pieces": {"interval": ["-inf", "inf"], "slope": 1.0, "intercept": 0.0}}, "function"),
     ("function", {"pieces": [5]}, "function"),
     ("x0", {"uniform": {"lo": "-inf", "hi": 5.0}}, "x0 uniform range"),
+    ("x0", {"values": ["nan", 1.0, 2.0, 3.0]}, "x0.values"),
+    ("x0", {"values": [0.0, 1.0, "inf", 3.0]}, "x0.values"),
+    ("durations", {"constant": "nan"}, "constant duration"),
+    ("durations", {"uniform": [0.0, "inf"]}, "uniform duration"),
 ])
 def test_malformed_config_field_exits_2(bundle, tmp_path, capsys, key, value, field):
     cfg = {
@@ -379,6 +383,48 @@ def test_fixed_overlapping_jump_bands_exit_2(bundle, tmp_path, capsys):
     }))
     assert main(["fixed", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     assert "config error: jump bands overlap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("runs", [[], ["--runs", "3"]])
+@pytest.mark.parametrize("case", ["overlapping-bands", "nan-x0"])
+def test_run_phase_config_errors_write_nothing(bundle, tmp_path, capsys, monkeypatch, case, runs):
+    # both errors used to surface only inside the simulation, after graph.edges was written
+    pieces = [{"interval": lohi, "slope": 1.0, "intercept": c}
+              for lohi, c in ((["-inf", 0.0], 0.0), ([0.0, 1.0], 1.0), ([1.0, "inf"], 2.0))]
+    cfg = {"mode": "fixed", "graph": {"edge_list": str(bundle / "graphs" / "fig1.edges")},
+           "function": {"pieces": pieces}, "x0": {"values": [0.0, 1.0, 2.0, 3.0]},
+           "options": {"band": 0.6, "t_max": 1.0}}
+    if case == "nan-x0":
+        cfg.update(function={"preset": "unit-jump"}, x0={"values": [0.0, "nan", 2.0, 3.0]}, options={})
+    p = _write_config(tmp_path / "c.json", **cfg)
+    pools = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda *args, **kwargs: pools.append(args))
+    out = tmp_path / "o"
+    assert main(["fixed", "--config", str(p), "--out", str(out), *runs]) == 2
+    expected = "jump bands overlap" if case == "overlapping-bands" else "x0.values must be finite"
+    assert f"config error: {expected}" in capsys.readouterr().err
+    assert not out.exists() and pools == []
+
+
+def test_repeated_edge_exits_2(tmp_path, capsys):
+    (tmp_path / "g.edges").write_text("n 2\n0 1 1.0\n1 0 1.0\n0 1 5.0\n")
+    p = _write_config(tmp_path / "c.json", mode="analyze", graph={"edge_list": "g.edges"})
+    out = tmp_path / "o"
+    assert main(["analyze", "--config", str(p), "--out", str(out)]) == 2
+    assert "config error: graph: edge (0, 1) is repeated" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("runs", [[], ["--runs", "2"]])
+def test_simulation_value_error_exits_3(bundle, tmp_path, capsys, monkeypatch, runs):
+    # a ValueError from inside a simulation is a runtime failure, not a config error
+    def fail(*args, **kwargs):
+        raise ValueError("step size collapsed to zero")
+
+    monkeypatch.setattr(cli, "simulate_fixed", fail)  # forked batch workers inherit the patch
+    assert main(["fixed", "--config", str(bundle / "double-star.json"),
+                 "--out", str(tmp_path / "o"), *runs]) == 3
+    assert "runtime error: step size collapsed to zero" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["null", "[]", "3", '"fixed"'])

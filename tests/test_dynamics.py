@@ -864,6 +864,18 @@ def test_sliding_flight_matches_stepwise(monkeypatch, name, reasons):
         assert run.trajectory.sliding[:, 0].all() and (x[:, 0] == 1.0).all()
 
 
+def test_float_singular_banded_block_takes_the_midpoints():
+    # vertex 0 has an in-neighbour outside the banded set {0, 1}, so its exact block is
+    # nonsingular; but L_00 = 1 + 1e-17 rounds to 1 and the float block [[1, -1], [-1, 1]]
+    # is singular, so every step takes the midpoint fallback
+    graph = WeightedDigraph.from_edges(3, [(1, 0, 1.0), (0, 1, 1.0), (2, 0, 1e-17)])
+    assert laplacian(graph)[0, 0] == 1.0
+    run = simulate_fixed(graph, unit_jump(), np.array([0.0, 0.0, 3.0]), SimOptions(dt=1e-2, t_max=1.0))
+    s = run.summary
+    assert s.steps == s.fallback_steps == 100 and not s.consensus_reached
+    assert np.isfinite(run.trajectory.x).all() and run.trajectory.t[-1] == 1.0
+
+
 def test_an_unpinned_set_that_slides_flies_on_in_the_same_block(monkeypatch):
     # node 0 starts inside the band of the jump at 1 but off its abscissa: the
     # block's first step slides and pins it, and the block flies on from there

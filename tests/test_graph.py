@@ -375,3 +375,17 @@ def test_edge_list_comments_and_errors(tmp_path):
     path.write_text("n 2\n0 1\n")
     with pytest.raises(ValueError, match="src dst weight"):
         read_edge_list(path)
+
+
+@pytest.mark.parametrize("weights", [(1.0, 5.0), (1.0, 1.0), (0.0, 2.0)])
+def test_repeated_edge_rejected(tmp_path, weights):
+    # a repeated (src, dst) pair is refused whatever its weights, not overwritten by the last
+    edges = [(0, 1, weights[0]), (1, 2, 1.0), (0, 1, weights[1])]
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) is repeated"):
+        WeightedDigraph.from_edges(3, edges)
+    path = tmp_path / "g.edges"
+    path.write_text("n 3\n" + "".join(f"{s} {d} {w!r}\n" for s, d, w in edges))
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) is repeated"):
+        read_edge_list(path)
+    # the reverse pair is another edge
+    assert WeightedDigraph.from_edges(2, [(0, 1, 1.0), (1, 0, 5.0)]).edges() == [(0, 1, 1.0), (1, 0, 5.0)]
