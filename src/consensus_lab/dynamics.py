@@ -20,41 +20,43 @@ produced trajectories can be checked against the set-valued semantics.
 ``integrate`` is the one integration loop and ``_Stepper.block`` the one
 stepping routine; the public ``step`` is a block of one step. The loop steps
 through segments of constant Laplacian: a switching schedule is a sequence of
-them, a fixed topology a single one. A run builds one stepper; a new segment
-only swaps its Laplacian and drops the caches keyed by the old one (the banded
-set and the map), so the block length and the buffers carry across switches.
-Once a full-length step returns its input bit for bit, the segment's later
-full-length steps replay only the time grid, in vectorized chunks; a short last
-step is taken as a block. The replay covers full-length steps only: a short
-step is computed differently from a full one, so it need not round back to x.
+them, a fixed topology a single one. A run builds one stepper, so the block
+length and the buffers carry across switches. A cell lies between consecutive
+band edges and junctions raised one ulp; its index is the sum of the band-edge
+index k and the piece index p. The stepper keeps one entry, for the last cell
+it read: the banded set (kept when only p changes), the slope and intercept
+rows, and the map B, built on the cell's first map step. ``selection``, a
+block's first step and its post-check read it; a new segment drops it. A block
+returns its last state's k and whether that state is within the consensus
+tolerance, so the loop finds both only for the run's first state: a replay or
+a switch leaves x as it is. Once a full-length step returns its input bit for
+bit, the segment's later full-length steps replay only the time grid, in
+vectorized chunks. A short last step is taken as a block: it is computed
+differently from a full one, so it need not round back to x.
 
 Flight steps: when every piece of g is affine, a full-length step whose banded
-components all slide, pinned on their abscissas, is one affine map, ``x - B @
-[x; 1]`` with ``B = dt * L @ G`` (see ``_Stepper._map_for``); a free step is the
-case with no banded component. A block's first step, and so the public
-``step``, takes the map when it is full length, its banded components all slide
-and sit on their abscissas bit for bit, and it passes no whole band. Every
-other step (capped, short, with a clipped or unpinned banded component, or with
-a callable piece) is ``x - dt * (L @ gamma)`` on the selection, its sliding
-components pinned. After a first step that was full length, moved x, kept its
-band-edge index and left every banded component sliding, each later step of the
-block is the map: one dot and one subtract on the row ``[x, 1]``, in one tight
-loop. A post-check of a few whole-block calls then keeps the steps up to the
-first state that leaves its cell or the state space, repeats the one before bit
-for bit (an exact fixed point, which the next block's first step finds) or
+components all slide and sit on their abscissas bit for bit is one affine map,
+``x - B @ [x; 1]`` with ``B = dt * L @ G`` (see ``_Stepper._map_for``); a free
+step is the case with no banded component. A block's first step, and so
+``step``, takes it unless it passes a whole band. Every other step (capped,
+short, with a clipped or unpinned banded component, or with a callable piece)
+is ``x - dt * (L @ gamma)`` on the selection, its sliding components pinned.
+After a first step that was full length, moved x, kept k and left every banded
+component sliding, each later step of the block is the map: one dot and one
+subtract on the row ``[x, 1]``, in one tight loop. A post-check of a few
+whole-block calls then keeps the steps up to the first state that leaves its
+cell or the state space (one bracket test per entry), repeats the one before
+bit for bit (an exact fixed point, which the next block's first step finds) or
 reaches the consensus tolerance, and up to the first banded selection that is
-not strictly inside its jump interval; the next block starts there. A cell lies
-between consecutive band edges and junctions raised one ulp, and its index is
-the sum of the band-edge and piece indices; one bracket test per entry tells
-whether a state kept its cell and is finite. Every later step maps the row
-before it as the step before did, so an exact repeat lasts to the block's end
-and is looked for only when the block's last two states repeat. The selections,
-``s*x + c`` with the banded entries ``K @ gamma_f`` or the midpoints, as
-``selection`` computes them, are computed only up to the cell or repeat cut.
-The kept states are bit for bit those of single steps. The later steps count in
-``free_flight_steps`` with no banded component and in ``sliding_flight_steps``
-otherwise: ``steps`` is their sum, plus ``fixed_point_steps``, plus one per
-block.
+not strictly inside its jump interval; the next block starts there. Every later
+step maps its row as the one before did, so an exact repeat lasts to the
+block's end and is looked for only when the block's last two states repeat.
+The selections, ``s*x + c`` with the banded entries ``K @ gamma_f`` or the
+midpoints, as ``selection`` computes them, are computed only up to the cell or
+repeat cut. The kept states are bit for bit those of single steps. The later
+steps count in ``free_flight_steps`` with no banded component and in
+``sliding_flight_steps`` otherwise: ``steps`` is their sum, plus
+``fixed_point_steps``, plus one per block.
 """
 
 from __future__ import annotations
@@ -266,6 +268,19 @@ class _BandedSet(NamedTuple):
     op: np.ndarray | None  # K = -solve(L_bb, L_bf); None when L_bb is rank-deficient
 
 
+@dataclass(slots=True)
+class _Cell:
+    """A stepper's entry for the cell of piece-index vector ``p`` and band-edge index ``k``."""
+
+    pkey: bytes  # p.tobytes()
+    kkey: bytes  # k.tobytes()
+    p: np.ndarray
+    banded: _BandedSet | None  # the banded set at k; None if no component is banded
+    s: np.ndarray | None  # the slope and intercept rows at p; None unless g is all-affine
+    c: np.ndarray | None
+    map: np.ndarray | None = None  # B of ``_Stepper._map_for``, built on the cell's first map step
+
+
 class _Stepper:
     """Band edges (``band_edges``), cells and buffers for stepping, one Laplacian at a time; see ``use``."""
 
@@ -292,14 +307,9 @@ class _Stepper:
         self.use(lap)
 
     def use(self, lap: np.ndarray) -> "_Stepper":
-        """Steps with Laplacian ``lap`` from now on; drops the caches keyed by the last one.
-
-        A run keeps one stepper across its segments, so the block length and the
-        buffers carry over a switch.
-        """
+        """Steps with Laplacian ``lap`` from now on, keeping block length and buffers; drops the entry."""
         self.lap = np.ascontiguousarray(lap, dtype=float)
-        self._banded_key = self._banded = None  # the last k.tobytes() and its _banded_set
-        self._map_key = self._map = None  # the last p.tobytes() + k.tobytes() and its _map_for
+        self._entry: _Cell | None = None  # the last cell's
         return self
 
     def _banded_set(self, k: np.ndarray) -> _BandedSet:
@@ -320,30 +330,28 @@ class _Stepper:
             op = -np.linalg.solve(lbb, self.lap[np.ix_(b, f)])
         return _BandedSet(b, f, lo, hi, 0.5 * (lo + hi), op)
 
-    def _banded_for(self, k: np.ndarray) -> _BandedSet | None:
-        """``_banded_set(k)``, kept for the last ``k`` seen; None if no component is banded.
-
-        ``use`` drops it, so a run of banded steps at one (segment, ``k``)
-        builds it once, and free steps between them keep it.
-        """
-        if not np.count_nonzero(k & 1):
-            return None
-        key = k.tobytes()
-        if key != self._banded_key:
-            self._banded_key, self._banded = key, self._banded_set(k)
-        return self._banded
+    def _cell(self, x: np.ndarray, k: np.ndarray) -> _Cell:
+        """The entry of the cell of ``x``, whose band-edge index is ``k``: the last one, or a new
+        one, which keeps the last one's banded set when only the piece index changed."""
+        g, cell = self.g, self._entry
+        p = g._junctions.searchsorted(x, side="left")
+        pkey, kkey = p.tobytes(), k.tobytes()
+        if cell is not None and cell.kkey == kkey:
+            if cell.pkey == pkey:
+                return cell
+            banded = cell.banded
+        else:
+            banded = self._banded_set(k) if np.count_nonzero(k & 1) else None
+        s, c = (g._slopes[p], g._intercepts[p]) if g._all_affine else (None, None)
+        self._entry = cell = _Cell(pkey, kkey, p, banded, s, c)
+        return cell
 
     def selection(self, x: np.ndarray, k: np.ndarray):
-        """Selection vector, sliding mask and fallback flag at ``x``.
-
-        ``k`` is the band-edge index of ``x``: component i is banded iff
-        ``k[i]`` is odd, and its jump is ``k[i] // 2``. Banded components take
-        ``clip(K @ gamma_f, lo, hi)`` from their set's operator, or the jump
-        midpoints (the fallback) when their Laplacian block is rank-deficient;
-        those strictly inside their jump interval slide.
-        """
-        bs = self._banded_for(k)
-        gamma = self.g.values(x)
+        """Selection vector, sliding mask and fallback flag at ``x``, whose band-edge index is ``k``:
+        component i is banded iff ``k[i]`` is odd, and its jump is ``k[i] // 2``."""
+        cell = self._cell(x, k)
+        bs = cell.banded
+        gamma = self.g.values(x) if cell.s is None else cell.s * x + cell.c
         sliding = np.zeros(len(x), dtype=bool)
         fallback = bs is not None and bs.op is None
         if bs is not None:
@@ -359,49 +367,37 @@ class _Stepper:
         """
         return (x < self._cell_lo[c]) | ~(x < self._cell_hi[c])
 
-    def _map_for(self, p: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """``B = dt * L @ G`` at piece-index vector ``p`` and band-edge index ``k``, kept for the last pair.
+    def _map_for(self, cell: _Cell) -> np.ndarray:
+        """``B = dt * L @ G`` at the piece slopes ``s``, intercepts ``c`` and banded set of ``cell``.
 
         ``G = [diag(s) | c]`` maps ``[x; 1]`` to ``s*x + c`` for each component's
         piece slope ``s`` and intercept ``c``, except that a banded row is ``K @
         G_f``, or ``[0 | mid]`` with no operator. The banded rows of ``B`` are
         zero: the step ``x - B @ [x; 1]`` keeps the pinned components' bits.
         """
-        key = p.tobytes() + k.tobytes()
-        if key != self._map_key:
-            lap, bs = self.lap, self._banded_for(k)
-            s, c = self.g._slopes[p], self.g._intercepts[p]
-            if bs is not None:  # G_b; the banded rows of [diag(s) | c] then drop out
-                gb = (np.column_stack((np.zeros((len(bs.b), len(p))), bs.mid)) if bs.op is None
-                      else bs.op @ np.column_stack((np.diag(s), c))[bs.f])
-                s[bs.b] = c[bs.b] = 0.0
-            m = np.column_stack((lap * s, lap @ c))  # L @ [diag(s) | c], with no n^3 product
-            if bs is not None:
-                m += lap[:, bs.b] @ gb
-                m[bs.b] = 0.0
-            self._map_key, self._map = key, self.opts.dt * m
-        return self._map
+        lap, bs, s, c = self.lap, cell.banded, cell.s, cell.c
+        if bs is not None:  # G_b; the banded rows of [diag(s) | c] then drop out
+            gb = (np.column_stack((np.zeros((len(bs.b), len(s))), bs.mid)) if bs.op is None
+                  else bs.op @ np.column_stack((np.diag(s), c))[bs.f])
+            s, c = s.copy(), c.copy()
+            s[bs.b] = c[bs.b] = 0.0
+        m = np.column_stack((lap * s, lap @ c))  # L @ [diag(s) | c], with no n^3 product
+        if bs is not None:
+            m += lap[:, bs.b] @ gb
+            m[bs.b] = 0.0
+        return self.opts.dt * m
 
     @np.errstate(over="ignore", invalid="ignore")  # the finiteness checks catch an overflow
     def block(self, x: np.ndarray, k: np.ndarray, t: float, cap: float, t_end: float,
               tiny: float, consensus_tol: float | None):
         """A block of steps from ``x``, whose band-edge index is ``k``; see the module docstring.
 
-        The first step is at most ``cap`` long. It is the map ``x - B @ [x; 1]``
-        of ``_map_for`` when it is full length, g is all-affine, every banded
-        component slides and already sits on its abscissa bit for bit, and the
-        step passes no whole band. Otherwise it is the selection at ``x``, ``v =
-        L @ gamma``, then ``x - v*w`` with ``w = dt`` but 0 on the sliding
-        components, which are pinned on their abscissas. ``dt`` is first
-        shortened so that no component passes a whole band it is not in: the
-        first to reach one lands on its abscissa. The later steps follow the
-        grid of full steps towards ``t_end``, none from within ``tiny`` of it,
-        and the first state that reaches ``consensus_tol`` (None: not looked
-        for) ends the block.
-
-        Returns the times and states of the block, start included, the
-        selection of each step, the sliding mask that every step shares,
-        whether they took the midpoint fallback, and the first step's length.
+        The first step is at most ``cap`` long. The later ones follow the grid of full steps
+        towards ``t_end``, none from within ``tiny`` of it, and the first state that reaches
+        ``consensus_tol`` (None: not looked for) ends the block. Returns the block's times and
+        states, start included, each step's selection, the sliding mask all steps share, whether
+        they took the midpoint fallback, the first step's length, and the last state's band-edge
+        index and whether it reached ``consensus_tol`` (False if not looked for).
         """
         dt = min(self.opts.dt, cap)
         if dt <= 0:
@@ -416,13 +412,16 @@ class _Stepper:
         rows, v, vn = self._rows, self._v, self._v[:n]
         states = self._block[:, :n]
         gamma, sliding, fallback = self.selection(x, k)
+        cell = self._entry  # x's, which ``selection`` just read
         states[0], self._gammas[0] = x, gamma
         x1 = states[1]
-        pinned = np.count_nonzero(sliding) == np.count_nonzero(k & 1)  # every banded component slides
+        bs = cell.banded
+        pinned = np.count_nonzero(sliding) == (0 if bs is None else len(bs.b))  # all banded ones slide
         xb = self.bxs[k[sliding] // 2]  # the sliding components' abscissas
         mapped = dt == self.opts.dt and g._all_affine and pinned and x[sliding].tobytes() == xb.tobytes()
         if mapped:
-            self._map_for(g._junctions.searchsorted(x, side="left"), k).dot(rows[0], vn)
+            cell.map = self._map_for(cell) if cell.map is None else cell.map
+            cell.map.dot(rows[0], vn)
             np.subtract(x, vn, x1)
             k1 = self.edges.searchsorted(x1, side="right")
             mapped = not np.count_nonzero(np.abs(k1 - k) > 1)  # a whole band passed: redone, capped
@@ -443,46 +442,46 @@ class _Stepper:
             x1[sliding] = xb
         if not np.isfinite(x1).all():
             raise IntegrationError(f"state overflow at t={t}")
-        t1, e = t + dt, 1
+        t1, e, m = t + dt, 1, 0  # m: the grid's full steps, none outside a flight
         times = np.array([t, t1])
         if (dt == self.opts.dt and t1 < t_end - tiny and t_end - t1 >= dt and g._all_affine
                 and x1.tobytes() != x.tobytes() and (k1 == k).all() and pinned):
             times, m = _grid(t, t_end, dt, tiny, length)
             # the piece index, not k // 2: a continuity junction splits a band gap
-            p0 = g._junctions.searchsorted(x1, side="left")
+            cell = self._cell(x1, k)
+            cell.map = self._map_for(cell) if cell.map is None else cell.map
             # the bound dot is np.dot without its dispatch: 0.2 us less a step
-            dot, subtract = self._map_for(p0, k).dot, np.subtract
+            dot, subtract = cell.map.dot, np.subtract
             for j in range(1, m):
                 dot(rows[j], vn)
                 subtract(rows[j], v, rows[j + 1])
             # the first later state that leaves its cell or the state space
-            e = _first_row(self._off_cell(states[2:m + 1], k + p0), m - 1) + 1
-            # Each step maps its row as the one before did, so an exact repeat lasts
-            # to the block's end. Bit patterns: == would equate -0.0 and 0.0.
+            e = _first_row(self._off_cell(states[2:m + 1], k + cell.p), m - 1) + 1
+            # an exact repeat lasts to the block's end; bit patterns: == would equate -0.0 and 0.0
             if states[m].tobytes() == states[m - 1].tobytes():
                 repeats = (states[2:m + 1].view(np.uint64) == states[1:m].view(np.uint64)).all(axis=1)
                 e = min(e, int(repeats.argmax()) + 1)
             # the selections of the later steps up to that cut, bit for bit as ``selection`` computes them
-            gs, bs = self._gammas[1:e], self._banded_for(k)
-            np.multiply(g._slopes[p0], states[1:e], gs)
-            np.add(gs, g._intercepts[p0], gs)
+            gs = self._gammas[1:e]
+            np.multiply(cell.s, states[1:e], gs)
+            np.add(gs, cell.c, gs)
             if bs is not None and e > 1:  # a later step is not kept when its selection is clipped
                 for gj in gs:  # row by row: gs[:, f] @ K.T does not round as op @ gamma_f does
                     gj[bs.b] = bs.mid if bs.op is None else bs.op @ gj[bs.f]
                 gb = gs[:, bs.b]
                 e = _first_row(~((gb > bs.lo) & (gb < bs.hi)), e - 1) + 1
-            if consensus_tol is not None:
-                # one row per component: max and min are exact in any order
-                kept = states[1:e + 1].T.copy()
-                reached = kept.max(axis=0) - kept.min(axis=0) < consensus_tol
-                i = int(reached.argmax())
-                if reached[i]:
-                    e = i + 1
-            if e < m:
-                self._block_len = max(_BLOCK_MIN_STEPS, length // 2)
-            elif m == length:
-                self._block_len = min(2 * length, self._max_len)
-        return times[:e + 1], states[:e + 1], self._gammas[:e], sliding, fallback, dt
+        reached = False  # of the last state, whose band-edge index is k1: a flight's kept states keep it
+        if consensus_tol is not None:  # one row per component: max and min are exact in any order
+            kept = states[1:e + 1].T.copy()
+            near = kept.max(axis=0) - kept.min(axis=0) < consensus_tol
+            i = int(near.argmax())
+            if near[i]:
+                e, reached = i + 1, True
+        if e < m:
+            self._block_len = max(_BLOCK_MIN_STEPS, length // 2)
+        elif m == length:
+            self._block_len = min(2 * length, self._max_len)
+        return times[:e + 1], states[:e + 1], self._gammas[:e], sliding, fallback, dt, k1, reached
 
 
 @dataclass(frozen=True)
@@ -503,7 +502,7 @@ def step(state: State, lap: np.ndarray, g: ClassAFunction, opts: SimOptions,
     k = stepper.edges.searchsorted(x, side="right")
     cap = dt_limit if dt_limit is not None else opts.dt
     # a block that ends at state.t has no time left for a second step
-    times, states, gamma, sliding, fallback, dt = stepper.block(x, k, state.t, cap, state.t, 0.0, None)
+    times, states, gamma, sliding, fallback, dt, *_ = stepper.block(x, k, state.t, cap, state.t, 0.0, None)
     return StepResult(
         state=State(float(times[1]), states[1].copy()),
         gamma=gamma[0].copy(),
@@ -549,20 +548,21 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
     steps = fallback_steps = fixed_point_steps = free_flight_steps = sliding_flight_steps = 0
     time_to_tol: float | None = None
     tiny = 1e-12 * max(1.0, opts.t_max)
-    stepper = None
+    stepper = k = None
     for lap, t_end in segments:
         _check_length(x, lap)
         stepper = stepper.use(lap) if stepper else _Stepper(lap, g, opts)
         v_start = disagreement(x).spread
+        if k is None:  # x's band-edge index and consensus verdict; each block returns its last state's
+            k, reached = stepper.edges.searchsorted(x, side="right"), v_start < opts.consensus_tol
         while True:
             if t >= t_end - tiny:
                 t = t_end
-            if time_to_tol is None and disagreement(x).spread < opts.consensus_tol:
+            if time_to_tol is None and reached:
                 time_to_tol = t
             if t == t_end or (stop_at_consensus and time_to_tol is not None):
                 break
-            k = stepper.edges.searchsorted(x, side="right")
-            times, states, gamma, sliding, fallback, dt = stepper.block(
+            times, states, gamma, sliding, fallback, dt, k, reached = stepper.block(
                 x, k, t, t_end - t, t_end, tiny, opts.consensus_tol if time_to_tol is None else None)
             rec.add_block(times[:-1], states[:-1], gamma, sliding)
             e = len(times) - 1
@@ -587,7 +587,7 @@ def integrate(segments: Iterable[tuple[np.ndarray, float]], g: ClassAFunction, x
             break
     if not taken:
         raise ValueError("no segments")
-    gamma, sliding, _ = stepper.selection(x, stepper.edges.searchsorted(x, side="right"))
+    gamma, sliding, _ = stepper.selection(x, k)
     rec.add(t, x, gamma, sliding)
 
     meta = {"dt": opts.dt, "band": opts.band, "t_max": opts.t_max, "record_stride": record_stride}

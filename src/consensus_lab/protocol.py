@@ -353,8 +353,10 @@ def from_config(spec: dict) -> ClassAFunction:
         if p.get("kind", "affine") != "affine":
             raise ValueError(f"piece {i}: only 'affine' pieces are supported in configs")
         lo, hi = _field(f"piece {i}: interval", p["interval"], _parse_interval, "a pair of numeric bounds")
-        pieces.append(AffinePiece(lo, hi, _field(f"piece {i}: slope", p["slope"]),
-                                  _field(f"piece {i}: intercept", p["intercept"])))
+        slope, intercept = (_field(f"piece {i}: {key}", p[key]) for key in ("slope", "intercept"))
+        if not (math.isfinite(slope) and math.isfinite(intercept)):
+            raise ValueError(f"piece {i}: slope and intercept must be finite, got {slope} and {intercept}")
+        pieces.append(AffinePiece(lo, hi, slope, intercept))
     pieces.sort(key=lambda p: p.lo)
     g = ClassAFunction(pieces, name=spec.get("name"))
     for j, bp in enumerate(spec.get("breakpoints", ())):

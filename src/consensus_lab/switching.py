@@ -254,8 +254,9 @@ def simulate_switching(proc: SwitchingProcess, g: ClassAFunction, x0: np.ndarray
     if not x.size or not np.isfinite(x).all():
         raise ValueError("x0 must be non-empty and finite")
     lo, hi = float(x.min()), float(x.max())
-    if lo == hi:
-        lo, hi = lo - 1.0, hi + 1.0  # degenerate hull: already at consensus
+    if lo == hi:  # degenerate hull: already at consensus; at a large magnitude +-1 rounds back to it
+        lo, hi = (lo - 1.0, hi + 1.0) if lo - 1.0 < hi + 1.0 else \
+            (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))
     sep = epsilon_separation(g, lo, hi)
     if not sep.satisfied:
         raise AssumptionViolationError(
@@ -263,6 +264,8 @@ def simulate_switching(proc: SwitchingProcess, g: ClassAFunction, x0: np.ndarray
             "the decay bound has no certified rate"
         )
     eps = sep.value
+    if delta is not None and delta <= 0:  # checked here too: a run whose every eta is 0 tests no delta-graph
+        raise ValueError("delta must be positive")
 
     records: list[tuple[int, float, float, bool]] = []  # (k, t_start, eta, delta verdict) per interval
 
@@ -270,8 +273,10 @@ def simulate_switching(proc: SwitchingProcess, g: ClassAFunction, x0: np.ndarray
         for interval, lap in _schedule(proc, opts.t_max, seed):
             if on_interval is not None:
                 on_interval(interval)
-            records.append((interval.k, interval.t_start, scrambling_coefficient(-lap),
-                            delta is not None and is_delta_scrambling(interval.graph, delta)))
+            # a delta-scrambling graph covers every pair, so eta = 0 decides the verdict
+            eta = scrambling_coefficient(-lap)
+            records.append((interval.k, interval.t_start, eta,
+                            delta is not None and eta > 0 and is_delta_scrambling(interval.graph, delta)))
             yield lap, interval.t_end
 
     traj, taken, summary = integrate(segments(), g, x, opts, record_stride, stop_at_consensus)

@@ -302,6 +302,9 @@ _JUMP = {"pieces": [{"interval": ["-inf", 0.0], "slope": 1.0, "intercept": 0.0},
     ("x0", {"values": [0.0, 1.0, "inf", 3.0]}, "x0.values"),
     ("durations", {"constant": "nan"}, "constant duration"),
     ("durations", {"uniform": [0.0, "inf"]}, "uniform duration"),
+    ("function", {"pieces": [{**_JUMP["pieces"][0], "slope": "inf"}, _JUMP["pieces"][1]]}, "piece 0: slope"),
+    ("function", {"pieces": [{**_JUMP["pieces"][0], "intercept": "nan"}, _JUMP["pieces"][1]]},
+     "intercept must be finite"),
 ])
 def test_malformed_config_field_exits_2(bundle, tmp_path, capsys, key, value, field):
     cfg = {
@@ -565,6 +568,18 @@ def test_graph_dump_at_consensus_start_writes_interval_0(bundle, tmp_path):
     assert (out / "intervals.csv").read_text() == "k,dt,eta,v_start,v_end,bound_rhs\n"
     assert [f.name for f in (out / "graphs").iterdir()] == ["interval_000000.edges"]
     assert (out / "graphs" / "interval_000000.edges").read_text() == (out / "graph.edges").read_text()
+
+
+def test_switching_at_consensus_far_from_zero(bundle, tmp_path):
+    # x0 -+ 1 rounds back to 1e308, so the separation domain widens to the neighbouring floats
+    p = _write_config(tmp_path / "c.json", mode="switching",
+                      graph={"edge_list": str(bundle / "graphs" / "fig1.edges")},
+                      function={"preset": "unit-jump"}, x0={"values": [1e308] * 4},
+                      durations={"constant": 0.5}, options={"t_max": 1.0})
+    out = tmp_path / "o"
+    assert main(["switching", "--config", str(p), "--out", str(out)]) == 0
+    result = read_summary(out)["result"]
+    assert result["consensus_reached"] is True and result["time_to_tol"] == 0.0
 
 
 def test_blinking_bundled_reaches_consensus(bundle, tmp_path):

@@ -594,6 +594,14 @@ def _free_flight_case(name):
             SimOptions(dt=2e-3, t_max=30.0, band=1e-2)
     if name == "continuity-junction":
         return tree, _continuity_function(), rng.uniform(-1.0, 2.0, 6), SimOptions(dt=2e-3, t_max=30.0)
+    if name == "tree-capped":  # node 0 follows the root 1 up to the jump: a capped step lands it on 0
+        return WeightedDigraph.from_edges(2, [(1, 0, 1.0)]), unit_jump(), np.array([-1.0, 5e-4]), \
+            SimOptions(dt=0.1, t_max=10.0, consensus_tol=1e-3)
+    if name == "treeless":  # sources at +1 and -1: the followers settle on an exact fixed point in flight
+        two_sources = WeightedDigraph.from_edges(5, [(0, 2, 1.0), (1, 2, 0.25), (2, 3, 1.0), (1, 3, 1.5),
+                                                     (3, 4, 1.0), (0, 4, 2.0)])
+        return two_sources, unit_jump(), np.array([1.0, -1.0, 0.3, 0.2, 0.7]), \
+            SimOptions(dt=1e-2, t_max=30.0, consensus_tol=1e-4)
     # no jump: the middle nodes settle on an exact fixed point in free flight, with
     # g = x on the unit-slope path and g = 2x on the general affine one
     g = identity() if name == "fixed-point" else ClassAFunction((AffinePiece(-np.inf, np.inf, 2.0, 0.0),))
@@ -652,6 +660,9 @@ def _cut_reasons(t, x, ends, lap, g, opts, sliding=None):
     ("continuity-junction", 1, {"piece"}),
     ("fixed-point", 1, {"fixed point"}),
     ("fixed-point-slope-2", 1, {"fixed point"}),
+    ("tree", 3, {"consensus"}),
+    ("tree-capped", 1, {"consensus"}),
+    ("treeless", 1, {"fixed point"}),
 ])
 def test_free_flight_matches_stepwise(monkeypatch, name, stride, reasons):
     graph, g, x0, opts = _free_flight_case(name)
@@ -970,12 +981,10 @@ def test_sliding_flight_skips_the_stepper(monkeypatch, tmp_path):
         builds += 1
         return banded_set(self, k)
 
-    def counting_map_for(self, p, k):  # counts the cache misses, which build a new B
+    def counting_map_for(self, *args):  # each call builds a new B
         nonlocal maps
-        kept = self._map
-        built = map_for(self, p, k)
-        maps += built is not kept
-        return built
+        maps += 1
+        return map_for(self, *args)
 
     monkeypatch.setattr(dynamics._Stepper, "_banded_set", counting_banded_set)
     monkeypatch.setattr(dynamics._Stepper, "_map_for", counting_map_for)

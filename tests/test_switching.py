@@ -226,6 +226,22 @@ def test_switching_reads_each_interval_when_taken(uj):
     assert sum(r.eta > 0 for r in res.reports) == 9
 
 
+def test_eta_zero_intervals_take_no_delta_verdict(monkeypatch, uj):
+    # a delta-scrambling graph covers every pair, so an interval whose eta is 0 needs no verdict
+    proc = process_for_blinking(BlinkingModel(n=12, K=0, p=0.1, w=1.0), ConstantDuration(0.5))
+    x0 = np.random.default_rng(5).uniform(-1, 1, 12)
+    opts = SimOptions(dt=1e-2, t_max=5.0)
+    calls, verdict = [], switching.is_delta_scrambling
+    monkeypatch.setattr(switching, "is_delta_scrambling", lambda *args: calls.append(args) or verdict(*args))
+    res = simulate_switching(proc, uj, x0, opts, seed=1, stop_at_consensus=False, delta=0.1)
+    schedule = sample_schedule(proc, opts.t_max, 1)
+    assert res.summary.n_intervals == len(schedule) == 10 and all(r.eta == 0.0 for r in res.reports)
+    assert calls == []
+    assert res.summary.delta_scrambling_intervals == sum(verdict(iv.graph, 0.1) for iv in schedule) == 0
+    with pytest.raises(ValueError, match="delta must be positive"):
+        simulate_switching(proc, uj, x0, opts, seed=1, delta=-1.0)
+
+
 def test_switching_rejects_empty_x0(fig1, uj):
     with pytest.raises(ValueError, match="x0"):
         simulate_switching(process_for_graph(fig1, ConstantDuration(1.0)), uj, np.zeros(0),
