@@ -666,13 +666,13 @@ def _lyapunov_VL(x: np.ndarray, xi: np.ndarray, g: ClassAFunction, xbar: float) 
     return float(total)
 
 
-def finite_time_bound(graph: WeightedDigraph, g: ClassAFunction, x0: np.ndarray,
-                      atol: float = 1e-9) -> float | None:
+def finite_time_bound(graph: WeightedDigraph, g: ClassAFunction, x0: np.ndarray) -> float | None:
     """Upper bound on the time to consensus when the predicted value sits on a jump.
 
     Returns ``4 V_L(x0) / (|lambda_2| * jump^2)`` where lambda_2 is the second
     largest eigenvalue of -(Xi L + L^T Xi), or None when the weighted root
-    average of x0 is a continuity point of g (bound not applicable).
+    average of x0 is a continuity point of g (bound not applicable): farther than
+    ``1e-9 * max(1, max|x0|)``, a tolerance scaled like its rounding error, from every jump.
     """
     part, xi = root_weights(graph)
     if part.s2:
@@ -681,7 +681,8 @@ def finite_time_bound(graph: WeightedDigraph, g: ClassAFunction, x0: np.ndarray,
     if x0.shape != (graph.n,):
         raise ValueError(f"state must have length {graph.n}")
     xbar = float(xi @ x0[list(part.s1)])  # wra(x0, graph), from the same root weights
-    hits = [b for b in g.breakpoints if abs(b.x - xbar) <= atol]
+    tol = 1e-9 * max(1.0, np.abs(x0).max())
+    hits = [b for b in g.breakpoints if abs(b.x - xbar) <= tol]
     if not hits:
         return None
     bp = hits[0]

@@ -143,16 +143,18 @@ def is_strongly_connected(g: WeightedDigraph) -> bool:
     return bool(_reach(g).all())
 
 
-def left_null_vector(block: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def left_null_vector(block: np.ndarray) -> np.ndarray:
     """Positive left null vector xi of an irreducible Laplacian block.
 
     Solves the bordered system [block^T; 1^T] xi = [0; 1] by least squares,
-    so xi^T block = 0 and sum(xi) = 1. Rejects reducible input.
+    so xi^T block = 0 and sum(xi) = 1. Rejects reducible input and a residual
+    above ``1e-10 * max(1, max|block|)``, a bound that scales with the weights.
     """
     block = np.asarray(block, dtype=float)
     m = block.shape[0]
     if block.shape != (m, m):
         raise ValueError("block must be square")
+    tol = 1e-10 * max(1.0, np.abs(block).max())
     if m == 1:
         if abs(block[0, 0]) > tol:
             raise ValueError("1x1 Laplacian block must be zero")
@@ -165,7 +167,7 @@ def left_null_vector(block: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     xi, *_ = np.linalg.lstsq(a, b, rcond=None)
     residual = np.abs(block.T @ xi).max()
     if residual > tol:
-        raise ValueError(f"left null vector residual {residual:.2e} exceeds {tol:.0e}")
+        raise ValueError(f"left null vector residual {residual:.2e} exceeds {tol:.2e}")
     if xi.min() <= 0:
         raise ValueError("left null vector is not strictly positive")
     return xi

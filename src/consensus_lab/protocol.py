@@ -309,22 +309,9 @@ def preset(name: str) -> ClassAFunction:
         raise ValueError(f"unknown preset {name!r}; available: {sorted(PRESETS)}") from None
 
 
-def _parse_bound(v) -> float:
-    if v is None:
-        return math.inf
-    if isinstance(v, str):
-        s = v.strip().lower()
-        if s in ("inf", "+inf", "infinity"):
-            return math.inf
-        if s in ("-inf", "-infinity"):
-            return -math.inf
-        return float(s)
-    return float(v)
-
-
 def _parse_interval(v) -> tuple[float, float]:
-    """The bounds of ``[lo, hi]``; a ValueError for other than two."""
-    lo, hi = (_parse_bound(b) for b in v)
+    """The bounds of ``[lo, hi]`` as ``float`` reads them, None as inf; a ValueError for other than two."""
+    lo, hi = (math.inf if b is None else float(b) for b in v)
     return lo, hi
 
 
@@ -342,7 +329,7 @@ def from_config(spec: dict) -> ClassAFunction:
     Either ``{"preset": name}`` or ``{"pieces": [...]}`` with each piece
     ``{"interval": [a, b], "kind": "affine", "slope": s, "intercept": c}``.
     An optional ``"breakpoints"`` list with explicit x/left/right entries is
-    cross-checked against the limits derived from the pieces.
+    cross-checked against the limits derived from the pieces, to ``1e-9 * max(1, |limit|)``.
     """
     if "preset" in spec:
         return preset(spec["preset"])
@@ -366,7 +353,8 @@ def from_config(spec: dict) -> ClassAFunction:
         if not match:
             raise ValueError(f"declared breakpoint at {declared.x} is not a junction of the pieces")
         got = match[0]
-        if abs(got.left - declared.left) > 1e-9 or abs(got.right - declared.right) > 1e-9:
+        if not all(math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
+                   for a, b in ((got.left, declared.left), (got.right, declared.right))):
             raise ValueError(
                 f"declared limits at {declared.x} ({declared.left}, {declared.right}) "
                 f"disagree with the pieces ({got.left}, {got.right})"

@@ -83,14 +83,20 @@ class BlinkingModel:
     w: float = 0.1
 
     def __post_init__(self) -> None:
+        integer, real = (int, np.integer), (int, float, np.integer, np.floating)
+        for name, kinds, what in (("n", integer, "an integer"), ("K", integer, "an integer"),
+                                  ("p", real, "a real number"), ("w", real, "a real number")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         if self.n < 2:
             raise ValueError("blinking model needs at least two nodes")
         if not 0 <= self.K <= (self.n - 1) // 2:
             raise ValueError("K must satisfy 0 <= 2K <= n-1")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        if not self.w > 0:
-            raise ValueError("link weight must be positive")
+        if not (self.w > 0 and math.isfinite(self.w)):
+            raise ValueError(f"w must be finite and positive, got {self.w!r}")
 
     def backbone(self) -> np.ndarray:
         """Boolean matrix with entry [i, j] true when i -> j is a ring edge."""

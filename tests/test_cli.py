@@ -324,6 +324,21 @@ def test_malformed_config_field_exits_2(bundle, tmp_path, capsys, key, value, fi
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("mode", ["blinking", "expected-eta"])
+@pytest.mark.parametrize("field, value", [("n", 50.5), ("K", 1.5), ("p", "0.1"), ("w", float("inf"))])
+def test_malformed_blinking_model_exits_2(bundle, tmp_path, capsys, mode, field, value):
+    model = {"n": 50, "K": 0, "p": 0.1, "w": 0.1, field: value}
+    if mode == "blinking":
+        raw = {**bundled_examples()["blinking-50"], "graph": {"blinking": model}}
+    else:
+        raw = {"mode": mode, "graph": {"blinking": model}, "n_samples": 10}
+    p = _write_config(tmp_path / "c.json", **raw)  # json.dumps writes inf as Infinity
+    out = tmp_path / "o"
+    assert main([mode, "--config", str(p), "--out", str(out)]) == 2
+    assert f"config error: graph: {field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_x0_length_mismatch_in_a_batch_writes_nothing(bundle, tmp_path, capsys):
     p = _write_config(tmp_path / "c.json", mode="fixed",
                       graph={"edge_list": str(bundle / "graphs" / "fig1.edges")},
@@ -632,6 +647,27 @@ def test_analyze_with_function_and_x0(bundle, tmp_path, graph_name, x0):
         assert isinstance(s["wra_predicted"], float)
     else:
         assert s["wra_predicted"] is None and s["graph"]["has_spanning_tree"] is False
+
+
+_FIVE_VERTEX_EDGES = [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5), (3, 4, 1.5), (4, 0, 3.0), (0, 2, 0.75),
+                      (3, 1, 2.5), (4, 2, 1.25)]
+
+
+@pytest.mark.parametrize("mode", ["analyze", "fixed"])
+def test_prediction_does_not_depend_on_the_weight_scale(tmp_path, mode):
+    # at weights near 1e6 the left null vector's residual is 3.5e-10
+    predicted = []
+    for scale in (1.0, 1e6):
+        edges = "".join(f"{a} {b} {w * scale!r}\n" for a, b, w in _FIVE_VERTEX_EDGES)
+        (tmp_path / "g.edges").write_text("n 5\n" + edges)
+        p = _write_config(tmp_path / "c.json", mode=mode, graph={"edge_list": "g.edges"},
+                          function={"preset": "unit-jump"}, x0={"values": [1.0, -2.0, 0.5, 3.0, -1.0]},
+                          options={"dt": 1e-9, "t_max": 1e-8})
+        out = tmp_path / f"out{scale:g}"
+        assert main([mode, "--config", str(p), "--out", str(out)]) == 0
+        s = read_summary(out)
+        predicted.append(s["wra_predicted"] if mode == "analyze" else s["result"]["wra_predicted"])
+    assert predicted[1] == pytest.approx(predicted[0], rel=1e-9)
 
 
 def test_analyze_finite_time_bound_on_a_cycle(cycle, tmp_path):

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from consensus_lab import (
@@ -192,6 +194,26 @@ def test_finite_time_bound_scaling(uj):
     for c in (0.5, 2.0, 4.0):
         scaled = WeightedDigraph(4, c * g.weights)
         assert finite_time_bound(scaled, uj, x0) == pytest.approx(base / c, rel=1e-9)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(2, 7), st.sampled_from([0.25, 1.0, 3.0]),
+       st.lists(st.integers(-100, 100), min_size=7, max_size=7), st.sampled_from([0, 1]),
+       st.integers(1, 12))
+def test_finite_time_bound_verdict_is_invariant_under_state_scaling(n, weight, ints, offset, j):
+    # xi is uniform on an equal-weight cycle, so xi.x0 is sum(x0) / n: 0 exactly, on the jump,
+    # for an offset of 0, and at least 1/n away from it otherwise, at every scale of x0
+    g = WeightedDigraph.from_edges(n, [(i, (i + 1) % n, weight) for i in range(n)])
+    x0 = np.array(ints[:n - 1] + [offset - sum(ints[:n - 1])], dtype=float)
+    verdicts = [finite_time_bound(g, unit_jump(), scale * x0) is None for scale in (1.0, 10.0**j)]
+    assert verdicts == [offset == 1] * 2
+
+
+def test_finite_time_bound_of_a_large_state_on_the_jump(uj):
+    # xi.x0 is 0 exactly, but it rounds to about 4e-9 at this scale
+    g = WeightedDigraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+    bound = finite_time_bound(g, uj, 1e8 * np.array([1.0, 2.0, -3.0]))
+    assert bound is not None and 0 < bound < np.inf
 
 
 def test_finite_time_bound_not_applicable(two_node, uj):
@@ -875,16 +897,29 @@ def test_sliding_flight_matches_stepwise(monkeypatch, name, reasons):
         assert run.trajectory.sliding[:, 0].all() and (x[:, 0] == 1.0).all()
 
 
-def test_float_singular_banded_block_takes_the_midpoints():
-    # vertex 0 has an in-neighbour outside the banded set {0, 1}, so its exact block is
-    # nonsingular; but L_00 = 1 + 1e-17 rounds to 1 and the float block [[1, -1], [-1, 1]]
-    # is singular, so every step takes the midpoint fallback
-    graph = WeightedDigraph.from_edges(3, [(1, 0, 1.0), (0, 1, 1.0), (2, 0, 1e-17)])
-    assert laplacian(graph)[0, 0] == 1.0
-    run = simulate_fixed(graph, unit_jump(), np.array([0.0, 0.0, 3.0]), SimOptions(dt=1e-2, t_max=1.0))
+@pytest.mark.parametrize("case", ["rounded-diagonal", "closed-class"])
+def test_float_singular_banded_block_takes_the_midpoints(case):
+    if case == "rounded-diagonal":
+        # vertex 0 has an in-neighbour outside the banded set {0, 1}, so its exact block is
+        # nonsingular; but L_00 = 1 + 1e-17 rounds to 1 and the float block [[1, -1], [-1, 1]]
+        # is singular, so every step takes the midpoint fallback
+        graph = WeightedDigraph.from_edges(3, [(1, 0, 1.0), (0, 1, 1.0), (2, 0, 1e-17)])
+        assert laplacian(graph)[0, 0] == 1.0
+        x0 = np.array([0.0, 0.0, 3.0])
+    else:
+        # the banded set {0, 1, 2, 3} is a closed class, so its block is singular; yet its
+        # float row sums are 2.78e-17 on three rows, so a positive float row sum does not
+        # make a row strictly dominant
+        edges = [(i, j, 0.1) for i in range(4) for j in range(4) if i != j] + [(0, 4, 0.1)]
+        graph = WeightedDigraph.from_edges(5, edges)
+        assert (laplacian(graph)[:4, :4].sum(axis=1) > 0).sum() == 3
+        x0 = np.array([0.0, 0.0, 0.0, 0.0, 2.0])
+    run = simulate_fixed(graph, unit_jump(), x0, SimOptions(dt=1e-2, t_max=1.0))
     s = run.summary
     assert s.steps == s.fallback_steps == 100 and not s.consensus_reached
     assert np.isfinite(run.trajectory.x).all() and run.trajectory.t[-1] == 1.0
+    if case == "closed-class":
+        assert (run.trajectory.x[:, :4] == 0.0).all()
 
 
 def test_an_unpinned_set_that_slides_flies_on_in_the_same_block(monkeypatch):

@@ -189,6 +189,38 @@ def test_left_null_vector_residual_and_positivity():
         assert xi.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def _weighted_ring_graph(rng, scale):
+    """A strongly connected graph on 3-7 vertices: weights uniform(0.5, 3) times ``scale`` on
+    about half the pairs, plus the ring i -> i+1 of weight ``scale`` where that pair has none."""
+    n = int(rng.integers(3, 8))
+    w = rng.uniform(0.5, 3.0, (n, n)) * scale * (rng.random((n, n)) < 0.5)
+    np.fill_diagonal(w, 0.0)
+    ring = (np.arange(1, n + 1) % n, np.arange(n))
+    w[ring] = np.where(w[ring] == 0, scale, w[ring])
+    return WeightedDigraph(n, w)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e4, 1e6, 1e8])
+def test_wra_accepts_every_weight_scale(scale):
+    # the residual is judged relative to max|L|: at 1e6 its median over these graphs is 4e-10
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        g = _weighted_ring_graph(rng, scale)
+        x0 = rng.uniform(-1.0, 1.0, g.n)
+        unscaled = WeightedDigraph(g.n, g.weights / scale)
+        assert wra(x0, g) == pytest.approx(wra(x0, unscaled), rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(0, 2**30), st.integers(-6, 8))
+def test_wra_is_invariant_under_weight_scaling(seed, k):
+    rng = np.random.default_rng(seed)
+    g = random_strongly_connected(rng, int(rng.integers(2, 8)))
+    x0 = rng.uniform(-1.0, 1.0, g.n)
+    scaled = WeightedDigraph(g.n, 10.0**k * g.weights)
+    assert wra(x0, scaled) == pytest.approx(wra(x0, g), rel=1e-9, abs=1e-12)
+
+
 def test_wra_fig1(fig1):
     x = np.array([3.0, 5.0, -2.0, 11.0])
     assert wra(x, fig1) == pytest.approx((x[0] + x[1]) / 2, abs=1e-12)

@@ -193,6 +193,48 @@ def test_from_config_rejects_bad_breakpoint_limits():
         from_config(spec)
 
 
+@pytest.mark.parametrize("bound, end", [
+    ("inf", "hi"), ("+inf", "hi"), ("-Infinity", "lo"), (" INF ", "hi"), ("1e3", "hi"), (None, "hi"),
+])
+def test_from_config_reads_interval_bounds_as_float_does(bound, end):
+    # the outer bound of the first (lo) or the last (hi) piece; a finite one leaves the line uncovered
+    first = {"interval": ["-inf", 0] if end == "hi" else [bound, 0], "slope": 1, "intercept": 0}
+    last = {"interval": [0, bound] if end == "hi" else [0, "inf"], "slope": 1, "intercept": 1}
+    spec = {"pieces": [first, last]}
+    if bound == "1e3":
+        with pytest.raises(ValueError, match="cover the real line"):
+            from_config(spec)
+    else:
+        g = from_config(spec)
+        assert (g.pieces[0].lo, g.pieces[-1].hi) == (-math.inf, math.inf)
+
+
+def test_from_config_accepts_a_large_exact_breakpoint_declaration():
+    # the pieces give 57832894.549793996 for the declared left limit 57832894.549794,
+    # within 1e-9 of it relative to its size
+    x, slope, intercept = -0.418, 0.467, 57832894.745
+    spec = {
+        "pieces": [
+            {"interval": ["-inf", x], "kind": "affine", "slope": slope, "intercept": intercept},
+            {"interval": [x, "inf"], "kind": "affine", "slope": slope, "intercept": intercept + 1},
+        ],
+        "breakpoints": [{"x": x, "left": 57832894.549794, "right": 57832895.549794}],
+    }
+    assert from_config(spec).breakpoints[0].left == slope * x + intercept != 57832894.549794
+
+
+def test_from_config_rejects_a_nan_breakpoint_limit():
+    spec = {
+        "pieces": [
+            {"interval": ["-inf", 0], "kind": "affine", "slope": 1, "intercept": 0},
+            {"interval": [0, "inf"], "kind": "affine", "slope": 1, "intercept": 1},
+        ],
+        "breakpoints": [{"x": 0, "left": "nan", "right": 1}],
+    }
+    with pytest.raises(ValueError, match="disagree"):
+        from_config(spec)
+
+
 def test_from_config_rejects_invalid_function():
     spec = {
         "pieces": [

@@ -101,6 +101,15 @@ def test_blinking_backbone_always_on():
             assert g.weights[(i - off) % 7, i] == 0.5
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 50.5), ("n", True), ("K", 1.5), ("p", "0.1"), ("p", True), ("w", math.inf), ("w", math.nan),
+    ("w", "0.1"),
+])
+def test_blinking_model_rejects_a_malformed_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        BlinkingModel(**{"n": 50, "K": 0, "p": 0.1, "w": 0.1, field: value})
+
+
 def test_blinking_edge_count_binomial():
     model = BlinkingModel(n=50, K=0, p=0.1, w=0.1)
     rng = np.random.default_rng(2)
