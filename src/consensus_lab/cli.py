@@ -42,7 +42,6 @@ from .graph import (
     wra,
     write_edge_list,
 )
-from .protocol import epsilon_separation
 from .protocol import from_config as function_from_config
 from .switching import (
     BlinkingModel,
@@ -50,10 +49,9 @@ from .switching import (
     ConstantDuration,
     FixedGraphSampler,
     ScheduleInterval,
+    SwitchingProcess,
     UniformDuration,
     estimate_expected_eta,
-    process_for_blinking,
-    process_for_graph,
     simulate_switching,
     write_interval_reports_csv,
 )
@@ -276,12 +274,14 @@ def _out_dir(cfg: ExperimentConfig, config_path: Path | None) -> Path:
 
 def _parse(cfg: ExperimentConfig) -> tuple:
     """The parse phase of ``run``: ``(cfg, opts, g, graph, durations, x0)``, None where the mode
-    reads no such section. It raises every ConfigError, jump bands that overlap included."""
+    reads no such section; ``analyze`` reads ``function`` and ``x0`` when they are given. It
+    raises every ConfigError, jump bands that overlap included."""
     needs = _MODE_REQUIRES[cfg.mode]
     simulated = "function" in needs
+    analyze = cfg.mode == "analyze"
     opts = cfg.sim_options() if simulated else None
     g = x0 = durations = None
-    if simulated or (cfg.mode == "analyze" and cfg.function and cfg.x0):
+    if simulated or (analyze and cfg.function):
         g = _read("function", function_from_config, cfg.function)
     if simulated:
         try:
@@ -291,7 +291,7 @@ def _parse(cfg: ExperimentConfig) -> tuple:
     graph = _read("graph", _graph, cfg)
     if "durations" in needs:
         durations = _read("durations", _durations, cfg)
-    if g is not None:
+    if simulated or (analyze and cfg.x0):
         x0 = _read("x0", _initial_state, cfg, graph.n)
     return cfg, opts, g, graph, durations, x0
 
@@ -303,8 +303,8 @@ def _execute(sections: tuple, out_dir: str | Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     config = {k: v for k, v in dataclasses.asdict(cfg).items() if k != "base_dir"}
     summary = {"mode": cfg.mode, "seed": cfg.seed, "config": config, "defaults": _block(SimOptions())}
+    sampler = BlinkingSampler(graph) if isinstance(graph, BlinkingModel) else FixedGraphSampler(graph)
     if cfg.mode == "expected-eta":
-        sampler = BlinkingSampler(graph) if isinstance(graph, BlinkingModel) else FixedGraphSampler(graph)
         est = estimate_expected_eta(sampler, cfg.n_samples, _derived_seed(cfg.seed, 2))
         summary["expected_eta"] = _block(est)
     elif cfg.mode == "blinking":
@@ -314,7 +314,8 @@ def _execute(sections: tuple, out_dir: str | Path) -> dict:
         write_edge_list(graph, out / "graph.edges")
         if cfg.mode == "analyze" and x0 is not None:
             summary["wra_predicted"] = wra(x0, graph) if report["has_spanning_tree"] else None
-        if cfg.mode != "switching" and x0 is not None and report["has_spanning_tree"] and not report["s2"]:
+        # s2 is [] exactly when the graph has a spanning tree and is strongly connected
+        if cfg.mode != "switching" and g is not None and x0 is not None and report["s2"] == []:
             summary["finite_time_bound"] = finite_time_bound(graph, g, x0)
     if opts is not None:
         summary["x0"] = [float(v) for v in x0]
@@ -328,9 +329,8 @@ def _execute(sections: tuple, out_dir: str | Path) -> dict:
             result = simulate_fixed(graph, g, x0, opts, record_stride=cfg.stride)
             summary["result"] = _block(result.summary)
         else:
-            process_for = process_for_blinking if cfg.mode == "blinking" else process_for_graph
             result = simulate_switching(
-                process_for(graph, durations), g, x0, opts, seed=_derived_seed(cfg.seed, 1),
+                SwitchingProcess(durations, sampler), g, x0, opts, seed=_derived_seed(cfg.seed, 1),
                 record_stride=cfg.stride, delta=cfg.delta,
                 on_interval=dump if cfg.graph_dump_stride > 0 else None,
             )

@@ -24,8 +24,8 @@ them, a fixed topology a single one. A run builds one stepper, so the block
 length and the buffers carry across switches. A cell lies between consecutive
 band edges and junctions raised one ulp; its index is the sum of the band-edge
 index k and the piece index p. The stepper keeps one entry, for the last cell
-it read: the banded set (kept when only p changes), the slope and intercept
-rows, and the map B, built on the cell's first map step. ``selection``, a
+it read: the banded set and the slope and intercept rows, built when it enters
+the cell, and the map B, built on the cell's first map step. ``selection``, a
 block's first step and its post-check read it; a new segment drops it. A block
 returns its last state's k and whether that state is within the consensus
 tolerance, so the loop finds both only for the run's first state: a replay or
@@ -270,10 +270,9 @@ class _BandedSet(NamedTuple):
 
 @dataclass(slots=True)
 class _Cell:
-    """A stepper's entry for the cell of piece-index vector ``p`` and band-edge index ``k``."""
+    """A stepper's entry for the cell of index vector ``k + p``: band-edge index ``k``, piece index ``p``."""
 
-    pkey: bytes  # p.tobytes()
-    kkey: bytes  # k.tobytes()
+    key: bytes  # (k + p).tobytes()
     p: np.ndarray
     banded: _BandedSet | None  # the banded set at k; None if no component is banded
     s: np.ndarray | None  # the slope and intercept rows at p; None unless g is all-affine
@@ -331,19 +330,14 @@ class _Stepper:
         return _BandedSet(b, f, lo, hi, 0.5 * (lo + hi), op)
 
     def _cell(self, x: np.ndarray, k: np.ndarray) -> _Cell:
-        """The entry of the cell of ``x``, whose band-edge index is ``k``: the last one, or a new
-        one, which keeps the last one's banded set when only the piece index changed."""
+        """The entry of the cell of ``x``, whose band-edge index is ``k``: the last one, or a new one."""
         g, cell = self.g, self._entry
         p = g._junctions.searchsorted(x, side="left")
-        pkey, kkey = p.tobytes(), k.tobytes()
-        if cell is not None and cell.kkey == kkey:
-            if cell.pkey == pkey:
-                return cell
-            banded = cell.banded
-        else:
+        key = (k + p).tobytes()
+        if cell is None or cell.key != key:
             banded = self._banded_set(k) if np.count_nonzero(k & 1) else None
-        s, c = (g._slopes[p], g._intercepts[p]) if g._all_affine else (None, None)
-        self._entry = cell = _Cell(pkey, kkey, p, banded, s, c)
+            s, c = (g._slopes[p], g._intercepts[p]) if g._all_affine else (None, None)
+            self._entry = cell = _Cell(key, p, banded, s, c)
         return cell
 
     def selection(self, x: np.ndarray, k: np.ndarray):
@@ -399,9 +393,9 @@ class _Stepper:
         they took the midpoint fallback, the first step's length, and the last state's band-edge
         index and whether it reached ``consensus_tol`` (False if not looked for).
         """
-        dt = min(self.opts.dt, cap)
-        if dt <= 0:
+        if not cap > 0:  # NaN included, which min would drop
             raise ValueError("step size collapsed to zero")
+        dt = min(self.opts.dt, cap)
         g, lap, n, length = self.g, self.lap, len(x), self._block_len
         if self._block is None or len(self._block) <= length:
             # rows [x, 1] for the map's constant column; a short first block keeps ``step`` cheap

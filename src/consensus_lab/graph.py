@@ -256,7 +256,7 @@ def scrambling_coefficient(m: np.ndarray) -> float:
 
 def delta_graph(g: WeightedDigraph, delta: float) -> WeightedDigraph:
     """Subgraph keeping only edges of weight >= delta (weights preserved)."""
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     w = np.where(g.weights >= delta, g.weights, 0.0)
     return WeightedDigraph(g.n, w)

@@ -213,7 +213,7 @@ def validate_class_a(g: ClassAFunction) -> Violation | None:
     """
     for piece in g.pieces:
         if isinstance(piece, AffinePiece):
-            if piece.slope <= 0:
+            if not piece.slope > 0:
                 return Violation(
                     2, piece.lo, f"affine piece on ({piece.lo}, {piece.hi}) has slope {piece.slope} <= 0"
                 )
@@ -221,7 +221,7 @@ def validate_class_a(g: ClassAFunction) -> Violation | None:
             lo, hi = _sampling_window(piece)
             grid = np.linspace(lo, hi, SAMPLES_PER_PIECE)[1:-1]
             vals = np.array([piece.value(float(x)) for x in grid])
-            if (np.diff(vals) <= 0).any():
+            if not (np.diff(vals) > 0).all():
                 return Violation(
                     2, piece.lo, f"piece on ({piece.lo}, {piece.hi}) is not strictly increasing"
                 )
@@ -262,26 +262,25 @@ def epsilon_separation(g: ClassAFunction, lo: float, hi: float) -> SeparationEst
 
     Jumps are upward, so the infimum is attained within a single piece: the
     minimum slope for affine pieces (exact), or the minimum difference
-    quotient on a dense grid for callable pieces (estimate).
+    quotient on a dense grid for callable pieces (estimate). A NaN sample
+    makes the value NaN, which is not satisfied.
     """
     if not lo < hi:
         raise ValueError("domain must be a nondegenerate interval")
-    best = math.inf
+    ratios = []
     exact = True
-    for piece in g.pieces:
+    for piece in g.pieces:  # they tile the real line, so some piece meets [lo, hi]
         p, q = max(piece.lo, lo), min(piece.hi, hi)
         if p >= q:
             continue
         if isinstance(piece, AffinePiece):
-            best = min(best, piece.slope)
+            ratios.append(piece.slope)
         else:
             exact = False
             grid = np.linspace(p, q, SAMPLES_PER_PIECE)
             vals = np.array([piece.value(float(x)) for x in grid])
-            best = min(best, float((np.diff(vals) / np.diff(grid)).min()))
-    if not math.isfinite(best):
-        raise ValueError("domain does not intersect any piece")
-    return SeparationEstimate(float(best), exact)
+            ratios.append((np.diff(vals) / np.diff(grid)).min())
+    return SeparationEstimate(float(np.min(ratios)), exact)
 
 
 def unit_jump() -> ClassAFunction:

@@ -305,6 +305,14 @@ _JUMP = {"pieces": [{"interval": ["-inf", 0.0], "slope": 1.0, "intercept": 0.0},
     ("function", {"pieces": [{**_JUMP["pieces"][0], "slope": "inf"}, _JUMP["pieces"][1]]}, "piece 0: slope"),
     ("function", {"pieces": [{**_JUMP["pieces"][0], "intercept": "nan"}, _JUMP["pieces"][1]]},
      "intercept must be finite"),
+    ("options", {"dtt": 1}, "unknown simulation option"),
+    ("durations", {"poisson": 1}, "durations must be"),
+    ("x0", {"normal": 1}, "x0 must be"),
+    ("function", {"name": "x"}, "function: function spec needs either"),
+    ("function", {"pieces": [{**_AFFINE, "kind": "callable", "slope": 1.0, "intercept": 0.0}]},
+     "piece 0: only 'affine' pieces"),
+    ("function", {**_JUMP, "breakpoints": [{"x": 5.0, "left": 0.0, "right": 1.0}]},
+     "declared breakpoint at 5.0 is not a junction"),
 ])
 def test_malformed_config_field_exits_2(bundle, tmp_path, capsys, key, value, field):
     cfg = {
@@ -679,6 +687,25 @@ def test_analyze_finite_time_bound_on_a_cycle(cycle, tmp_path):
     assert s["wra_predicted"] == pytest.approx(0.0, abs=1e-15)
     assert s["finite_time_bound"] == pytest.approx(8 / 3)
     assert (out / "graph.edges").read_text() == cycle.read_text()
+
+
+@pytest.mark.parametrize("section, value", [
+    ("x0", {"values": [-1.0, 0.5, 2.0]}),
+    ("function", {"preset": "nope"}),
+])
+def test_analyze_reads_each_optional_section_it_is_given(cycle, tmp_path, capsys, section, value):
+    # x0 alone predicts the consensus value; the finite-time bound needs the function too
+    p = _write_config(tmp_path / "a.json", mode="analyze", graph={"edge_list": cycle.name}, **{section: value})
+    out = tmp_path / "out"
+    if section == "x0":
+        assert main(["analyze", "--config", str(p), "--out", str(out)]) == 0
+        s = read_summary(out)
+        assert s["wra_predicted"] == graph.wra(np.array(value["values"]), graph.read_edge_list(cycle))
+        assert "finite_time_bound" not in s
+    else:
+        assert main(["analyze", "--config", str(p), "--out", str(out)]) == 2
+        assert "config error: function: unknown preset 'nope'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_switching_summary_has_no_finite_time_bound(bundle, tmp_path):

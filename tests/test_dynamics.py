@@ -86,6 +86,12 @@ def test_step_overflow_raises(uj):
         step(res, 1e10 * L2, uj, SimOptions(dt=1e3, t_max=1e9))
 
 
+@pytest.mark.parametrize("cap", [0.0, -1e-3, float("nan")])
+def test_step_rejects_a_cap_that_is_not_positive(uj, cap):
+    with pytest.raises(ValueError, match="step size collapsed to zero"):
+        step(State(0.0, np.array([-1.0, 1.0])), L2, uj, SimOptions(), dt_limit=cap)
+
+
 def test_disagreement_examples():
     assert disagreement(np.array([1.0, 3.0, 5.0, 7.0])) == (7.0, 1.0, 6.0)
     assert disagreement(np.full(3, 2.0)) == (2.0, 2.0, 0.0)

@@ -380,6 +380,12 @@ def test_delta_scrambling_is_positive_eta_of_the_delta_graph():
     assert 50 < sum(verdicts) < 250
 
 
+@pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
+def test_delta_graph_rejects_a_nonpositive_delta(fig1, delta):
+    with pytest.raises(ValueError, match="delta must be positive"):
+        is_delta_scrambling(fig1, delta)
+
+
 @settings(max_examples=40)
 @given(st.integers(2, 6), st.integers(0, 2**30))
 def test_eta_of_laplacian_equals_eta_of_weights(n, seed):

@@ -61,6 +61,22 @@ def test_nonmonotone_callable_violates_clause_2():
     assert v is not None and v.clause == 2
 
 
+# NaN fails every comparison, so each clause-2 check asks for the increase it needs
+_NAN_BELOW_MINUS_5 = CallablePiece(-INF, 0, lambda s: s if s > -5 else math.nan, hi_limit=0.0)
+
+
+@pytest.mark.parametrize("piece", [affine(-INF, 0, math.nan, 0), _NAN_BELOW_MINUS_5],
+                         ids=["affine-nan-slope", "callable-nan-below-5"])
+def test_nan_piece_violates_clause_2(piece):
+    v = validate_class_a(ClassAFunction([piece, affine(0, INF, 1, 1)]))
+    assert v is not None and v.clause == 2
+
+
+def test_epsilon_separation_keeps_a_nan_sample():
+    est = epsilon_separation(ClassAFunction([_NAN_BELOW_MINUS_5, affine(0, INF, 1, 1)]), -8, 1)
+    assert math.isnan(est.value) and not est.satisfied
+
+
 def test_structural_gaps_rejected():
     with pytest.raises(ValueError, match="contiguous"):
         ClassAFunction([affine(-INF, 0, 1, 0), affine(1, INF, 1, 0)])

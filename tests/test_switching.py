@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -24,7 +25,7 @@ from consensus_lab import (
     unit_jump,
 )
 from consensus_lab import switching
-from consensus_lab.protocol import CallablePiece, ClassAFunction
+from consensus_lab.protocol import AffinePiece, CallablePiece, ClassAFunction
 from consensus_lab.switching import (
     AssumptionViolationError,
     blinking_eta_bracket,
@@ -76,6 +77,22 @@ def test_schedule_rejects_nonpositive_duration(fig1):
     proc = process_for_graph(fig1, ConstantDuration(0.0))
     with pytest.raises(ValueError, match="non-positive"):
         sample_schedule(proc, 1.0, rng_seed=0)
+    for value in (math.nan, -1.0):  # a run would never reach an interval end of NaN
+        with pytest.raises(ValueError, match="non-positive"):
+            sample_schedule(process_for_graph(fig1, ConstantDuration(value)), 1.0, rng_seed=0)
+
+
+def test_schedule_takes_no_laplacian(monkeypatch, uj):
+    # a process is its two samplers; a run takes each interval's Laplacian once, a schedule none
+    assert [f.name for f in dataclasses.fields(SwitchingProcess)] == ["durations", "graphs"]
+    proc = process_for_blinking(BlinkingModel(n=12, K=0, p=0.1, w=1.0), ConstantDuration(0.5))
+    calls, lap = [], switching.laplacian
+    monkeypatch.setattr(switching, "laplacian", lambda graph: calls.append(graph) or lap(graph))
+    schedule = sample_schedule(proc, 20.0, 3)
+    assert len(schedule) == 40 and calls == []
+    x0 = np.random.default_rng(5).uniform(-1, 1, 12)
+    res = simulate_switching(proc, uj, x0, SimOptions(dt=1e-2, t_max=20.0), seed=3, stop_at_consensus=False)
+    assert len(calls) == res.summary.n_intervals == len(schedule)
 
 
 def test_blinking_p1_complete():
@@ -249,6 +266,8 @@ def test_eta_zero_intervals_take_no_delta_verdict(monkeypatch, uj):
     assert res.summary.delta_scrambling_intervals == sum(verdict(iv.graph, 0.1) for iv in schedule) == 0
     with pytest.raises(ValueError, match="delta must be positive"):
         simulate_switching(proc, uj, x0, opts, seed=1, delta=-1.0)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        simulate_switching(proc, uj, x0, opts, seed=1, delta=math.nan)
 
 
 def test_switching_rejects_empty_x0(fig1, uj):
@@ -295,6 +314,15 @@ def test_assumption_violation_aborts(fig1):
     x0 = np.array([-100.0, 100.0, 0.0, 0.0])
     with pytest.raises(AssumptionViolationError, match="separation"):
         simulate_switching(proc, sneaky, x0, SimOptions(t_max=2.0), seed=0)
+
+
+def test_nan_separation_aborts(fig1):
+    # NaN only beyond the validation window but inside the state hull: nothing is certified
+    nan_tail = ClassAFunction([CallablePiece(-INF, 0.0, lambda s: s if s > -50 else math.nan, hi_limit=0.0),
+                               AffinePiece(0.0, INF, 1.0, 1.0)])
+    proc = process_for_graph(fig1, ConstantDuration(1.0))
+    with pytest.raises(AssumptionViolationError, match="separation ratio nan"):
+        simulate_switching(proc, nan_tail, np.array([-100.0, 100.0, 0.0, 0.0]), SimOptions(t_max=2.0), seed=0)
 
 
 def test_estimate_expected_eta_fixed_fig1(fig1):
