@@ -180,13 +180,26 @@ class Trajectory:
     def to_csv(self, path: str | Path) -> None:
         """Write one ``t,x_0,...,x_{n-1},V`` row per recorded sample: ``record_stride`` is the only stride.
 
-        Rows go to the file one at a time, so writing holds no more than a row in memory.
+        Each float is printed as its ``repr``, the shortest string that reads back to it. Rows
+        go to the file in chunks of at most ``_BLOCK_ELEMENTS`` floats, so writing holds no more
+        than a chunk in memory. A row whose values are each ±0.0 or of magnitude in
+        [1e-4, 1e16) is written by orjson: its Ryū digits are ``repr``'s, and in that range both
+        print them in plain decimal. Any other row is written through ``repr``, which prints
+        1e-05, 1e+16 and inf where orjson prints 0.00001, 1e16 and null.
         """
-        with open(path, "w") as f:
-            f.write("t," + ",".join(f"x_{i}" for i in range(self.n)) + ",V\n")
-            # tolist() gives Python floats, whose repr is the shortest round-trip form
-            f.writelines(",".join(map(repr, [float(self.t[k]), *self.x[k].tolist(), float(self.spread[k])]))
-                         + "\n" for k in range(len(self.t)))
+        import orjson  # imported here: only a run that writes its trajectory needs it
+
+        rows = max(1, _BLOCK_ELEMENTS // (self.n + 2))
+        with open(path, "wb") as f:
+            f.write(("t," + ",".join(f"x_{i}" for i in range(self.n)) + ",V\n").encode())
+            for k in range(0, len(self.t), rows):
+                chunk = np.column_stack((self.t[k:k + rows], self.x[k:k + rows], self.spread[k:k + rows]))
+                size = np.abs(chunk)
+                plain = (((size >= 1e-4) & (size < 1e16)) | (chunk == 0)).all(axis=1)
+                # tolist() gives Python floats, whose repr is the shortest round-trip form
+                f.writelines(orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] + b"\n" if ok
+                             else (",".join(map(repr, row.tolist())) + "\n").encode()
+                             for row, ok in zip(chunk, plain.tolist()))
 
 
 class _Recorder:

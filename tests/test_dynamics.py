@@ -268,20 +268,44 @@ def test_trajectory_csv_format(tmp_path, two_node, uj):
     assert last[0] == pytest.approx(run.trajectory.t[-1])
 
 
+def _random_doubles(rng, size: int, exponents=(-1023, 1024)) -> np.ndarray:
+    """Doubles of random sign and mantissa bits, with unbiased binary exponents drawn from ``exponents``."""
+    bits = rng.integers(0, 1 << 52, size, dtype=np.uint64)
+    bits |= rng.integers(1023 + exponents[0], 1023 + exponents[1], size).astype(np.uint64) << np.uint64(52)
+    bits |= rng.integers(0, 2, size, dtype=np.uint64) << np.uint64(63)
+    return bits.view(np.float64)
+
+
 def test_trajectory_csv_matches_per_element_repr(tmp_path, two_node, uj):
     # the row formatter must print each float as repr(float(v)) does
     specials = [0.0, -0.0, np.inf, -np.inf, 5e-324, -2.2250738585072e-308, 0.1 + 0.2,
                 1 / 3, -123456789.12345678, 1e16, 2.0**-1074 * 3, 9007199254740993.0]
     rng = np.random.default_rng(8)
     wide = rng.normal(size=(7, 2)) * 10.0 ** rng.integers(-300, 300, (7, 2))  # 17-digit floats
+    # the edges of the range written by orjson, each in a row that is otherwise in range
+    edges = [e for v in (1e-4, 1e16) for e in (np.nextafter(v, 0), v, np.nextafter(v, np.inf))]
+    edges += [np.finfo(float).max, np.nan, 0.0]
+    edges = np.array(edges + [-e for e in edges])
+    edge_rows = np.column_stack((np.full(len(edges), 0.5), edges, np.full(len(edges), 3.25)))
+    # all-in-range rows (binary exponents -13..52 lie inside [1e-4, 1e16)), rows of any
+    # 64-bit pattern, and in-range rows with one value of any pattern in a random column
+    in_range = _random_doubles(rng, 30_000, (-13, 53)).reshape(-1, 3)
+    any_bits = rng.integers(0, 1 << 64, 100_002, dtype=np.uint64).view(np.float64).reshape(-1, 3)
+    mixed = _random_doubles(rng, 30_000, (-13, 53)).reshape(-1, 3)
+    mixed[np.arange(len(mixed)), rng.integers(0, 3, len(mixed))] = _random_doubles(rng, len(mixed))
     x = np.concatenate([np.array(specials).reshape(-1, 2), wide])
     t = np.arange(len(x)) * 0.1
-    traj = dynamics.Trajectory(t=t, x=x, gamma=x.copy(), sliding=np.zeros(x.shape, dtype=bool),
-                               spread=x.max(axis=1) - x.min(axis=1))
-    traj.to_csv(tmp_path / "traj.csv")
-    lines = ["t,x_0,x_1,V"] + [",".join(repr(float(v)) for v in (t[k], *x[k], traj.spread[k]))
-                               for k in range(len(t))]
-    assert (tmp_path / "traj.csv").read_text() == "\n".join(lines) + "\n"
+    trajs = [dynamics.Trajectory(t=t, x=x, gamma=x.copy(), sliding=np.zeros(x.shape, dtype=bool),
+                                 spread=x.max(axis=1) - x.min(axis=1))]
+    for rows in (edge_rows, in_range, any_bits, mixed):
+        trajs.append(dynamics.Trajectory(t=rows[:, 0].copy(), x=rows[:, 1:2].copy(), gamma=rows[:, 1:2].copy(),
+                                         sliding=np.zeros((len(rows), 1), dtype=bool), spread=rows[:, 2].copy()))
+    for traj in trajs:
+        traj.to_csv(tmp_path / "traj.csv")
+        lines = [f"t,{','.join(f'x_{i}' for i in range(traj.n))},V"]
+        lines += [",".join(map(repr, [float(traj.t[k]), *traj.x[k].tolist(), float(traj.spread[k])]))
+                  for k in range(len(traj.t))]
+        assert (tmp_path / "traj.csv").read_text() == "\n".join(lines) + "\n"
     # a record_stride run writes every k-th row of the stride-1 run and its last one
     files = {}
     for stride in (1, 3, 6):

@@ -269,9 +269,11 @@ def test_values_vectorized_matches_scalar(uj):
 
 def test_import_leaves_scipy_integrate_out():
     # quad is imported where a callable piece is integrated, not with the package;
-    # nothing else of the package or its command line needs scipy
-    code = ("import sys, consensus_lab; print('scipy.integrate' in sys.modules); "
-            "import consensus_lab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # nothing else of the package or its command line needs scipy. orjson is imported
+    # where a trajectory is written, so neither import loads it either
+    code = ("import sys, consensus_lab; print('scipy.integrate' in sys.modules, 'orjson' in sys.modules); "
+            "import consensus_lab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+            " 'orjson' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.split("\n")[:2] == ["False", "[]"]
+    assert out.stdout.split("\n")[:2] == ["False False", "[] False"]
