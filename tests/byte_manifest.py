@@ -90,7 +90,7 @@ def _openblas_config() -> str | None:
         for symbol in ("scipy_openblas_get_config64_", "scipy_openblas_get_config", "openblas_get_config"):
             get_config = getattr(ctypes.CDLL(str(lib)), symbol, None)
             if get_config is not None:
-                get_config.restype = ctypes.c_char_p
+                get_config.argtypes, get_config.restype = [], ctypes.c_char_p
                 return get_config().decode()
     return None
 

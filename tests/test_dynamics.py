@@ -268,10 +268,10 @@ def test_trajectory_csv_format(tmp_path, two_node, uj):
     assert last[0] == pytest.approx(run.trajectory.t[-1])
 
 
-def _random_doubles(rng, size: int, exponents=(-1023, 1024)) -> np.ndarray:
-    """Doubles of random sign and mantissa bits, with unbiased binary exponents drawn from ``exponents``."""
+def _in_range_doubles(rng, size: int) -> np.ndarray:
+    """Doubles of random sign and mantissa bits with binary exponents -13..52, all inside [1e-4, 1e16)."""
     bits = rng.integers(0, 1 << 52, size, dtype=np.uint64)
-    bits |= rng.integers(1023 + exponents[0], 1023 + exponents[1], size).astype(np.uint64) << np.uint64(52)
+    bits |= rng.integers(1023 - 13, 1023 + 53, size, dtype=np.uint64) << np.uint64(52)
     bits |= rng.integers(0, 2, size, dtype=np.uint64) << np.uint64(63)
     return bits.view(np.float64)
 
@@ -287,17 +287,17 @@ def test_trajectory_csv_matches_per_element_repr(tmp_path, two_node, uj):
     edges += [np.finfo(float).max, np.nan, 0.0]
     edges = np.array(edges + [-e for e in edges])
     edge_rows = np.column_stack((np.full(len(edges), 0.5), edges, np.full(len(edges), 3.25)))
-    # all-in-range rows (binary exponents -13..52 lie inside [1e-4, 1e16)), rows of any
-    # 64-bit pattern, and in-range rows with one value of any pattern in a random column
-    in_range = _random_doubles(rng, 30_000, (-13, 53)).reshape(-1, 3)
-    any_bits = rng.integers(0, 1 << 64, 100_002, dtype=np.uint64).view(np.float64).reshape(-1, 3)
-    mixed = _random_doubles(rng, 30_000, (-13, 53)).reshape(-1, 3)
-    mixed[np.arange(len(mixed)), rng.integers(0, 3, len(mixed))] = _random_doubles(rng, len(mixed))
+    # in-range rows, rows of random 64-bit patterns, and in-range rows with one random
+    # pattern in a random column
+    in_range = _in_range_doubles(rng, 30_000).reshape(-1, 3)
+    any_bits = rng.integers(0, 1 << 64, 110_002, dtype=np.uint64).view(np.float64)
+    mixed = _in_range_doubles(rng, 30_000).reshape(-1, 3)
+    mixed[np.arange(len(mixed)), rng.integers(0, 3, len(mixed))] = any_bits[100_002:]
     x = np.concatenate([np.array(specials).reshape(-1, 2), wide])
     t = np.arange(len(x)) * 0.1
     trajs = [dynamics.Trajectory(t=t, x=x, gamma=x.copy(), sliding=np.zeros(x.shape, dtype=bool),
                                  spread=x.max(axis=1) - x.min(axis=1))]
-    for rows in (edge_rows, in_range, any_bits, mixed):
+    for rows in (edge_rows, in_range, any_bits[:100_002].reshape(-1, 3), mixed):
         trajs.append(dynamics.Trajectory(t=rows[:, 0].copy(), x=rows[:, 1:2].copy(), gamma=rows[:, 1:2].copy(),
                                          sliding=np.zeros((len(rows), 1), dtype=bool), spread=rows[:, 2].copy()))
     for traj in trajs:
