@@ -25,7 +25,7 @@ import json
 import os
 import sys
 import tempfile
-from importlib.metadata import PackageNotFoundError, version
+from importlib.metadata import version
 from pathlib import Path
 
 import numpy as np
@@ -83,28 +83,20 @@ def output_files(out: Path) -> dict[str, bytes]:
     return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
 
-def _openblas_config() -> str | None:
-    """The OpenBLAS configuration numpy loaded, with the kernel it picked for this CPU; None if unknown."""
-    libs = Path(np.__file__).parent.with_name("numpy.libs")
-    for lib in sorted(libs.glob("*openblas*")) if libs.is_dir() else ():
-        for symbol in ("scipy_openblas_get_config64_", "scipy_openblas_get_config", "openblas_get_config"):
-            get_config = getattr(ctypes.CDLL(str(lib)), symbol, None)
-            if get_config is not None:
-                get_config.argtypes, get_config.restype = [], ctypes.c_char_p
-                return get_config().decode()
-    return None
+def _blas() -> str:
+    """The OpenBLAS configuration numpy loaded, with the kernel it picked for this CPU; else its build-time BLAS."""
+    for lib in sorted(Path(np.__file__).parent.with_name("numpy.libs").glob("*openblas*")):
+        get_config = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_config64_", None)
+        if get_config is not None:
+            get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+            return get_config().decode()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas['name']} {blas['version']}"
 
 
 def build() -> dict:
-    """The numpy version, the BLAS configuration at run time and the orjson version, if installed."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    try:
-        orjson = version("orjson")
-    except PackageNotFoundError:
-        orjson = None
-    return {"numpy": np.__version__,
-            "blas": _openblas_config() or f"{blas.get('name')} {blas.get('version')}",
-            "orjson": orjson}
+    """The numpy version, the BLAS configuration and the orjson version."""
+    return {"numpy": np.__version__, "blas": _blas(), "orjson": version("orjson")}
 
 
 def main(argv: list[str]) -> int:

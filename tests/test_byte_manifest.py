@@ -31,10 +31,10 @@ def _reference_outputs(root: Path) -> dict[str, bytes] | None:
         if git("status", "--porcelain", "--", MANIFEST_PATH).strip():
             return None  # a regenerated manifest not yet committed
         commit = git("log", "-1", "--format=%H", "--", MANIFEST_PATH).decode().strip()
-        archive = git("archive", commit, "src", "tests/byte_manifest.py") if commit else b""
+        if not commit:
+            return None
+        archive = git("archive", commit, "src", "tests/byte_manifest.py")
     except (OSError, subprocess.CalledProcessError):
-        return None
-    if not archive:
         return None
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(root, filter="data")
