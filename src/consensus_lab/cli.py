@@ -24,7 +24,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -349,6 +348,8 @@ def run(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
 
 def run_batch(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     """Monte Carlo batch: cfg.runs concurrent runs with derived seeds, each parsed before the pool starts."""
+    from concurrent.futures import ProcessPoolExecutor  # imported here: only a --runs batch needs it
+
     out_root = Path(out_dir)
     runs = [_parse(dataclasses.replace(cfg, seed=_derived_seed(cfg.seed, 100, idx), runs=1))
             for idx in range(cfg.runs)]

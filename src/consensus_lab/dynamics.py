@@ -52,11 +52,13 @@ not strictly inside its jump interval; the next block starts there. Every later
 step maps its row as the one before did, so an exact repeat lasts to the
 block's end and is looked for only when the block's last two states repeat.
 The selections, ``s*x + c`` with the banded entries ``K @ gamma_f`` or the
-midpoints, as ``selection`` computes them, are computed only up to the cell or
-repeat cut. The kept states are bit for bit those of single steps. The later
-steps count in ``free_flight_steps`` with no banded component and in
-``sliding_flight_steps`` otherwise: ``steps`` is their sum, plus
-``fixed_point_steps``, plus one per block.
+midpoints, are computed only up to the cell or repeat cut, bit for bit as
+``selection`` computes them: a sliding flight's banded entries are one stacked
+product on its gamma_f rows, gathered row-major into a buffer whose rows start
+on 16 bytes, as a fresh gather's do. The kept states are bit for bit those of
+single steps. The later steps count in ``free_flight_steps`` with no banded
+component and in ``sliding_flight_steps`` otherwise: ``steps`` is their sum,
+plus ``fixed_point_steps``, plus one per block.
 """
 
 from __future__ import annotations
@@ -105,6 +107,18 @@ def _first_row(mask: np.ndarray, none: int) -> int:
     """The first row of the 2-D ``mask`` with a True entry, from one flat argmax; ``none`` if it has none."""
     i = int(mask.argmax())
     return i // mask.shape[1] if mask.flat[i] else none
+
+
+def _stacked_selections(op: np.ndarray, gs: np.ndarray, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``op @ gamma[f]`` for each row ``gamma`` of ``gs``, in one stacked product, bit for bit.
+
+    Each row of gamma_f is gathered into a row of ``out``: a unit-stride vector on a 16-byte
+    boundary (the row width is even), as the fresh gather ``gamma[f]`` is. A plain
+    ``gs[:, f]`` is column-major, and the products of its strided rows round differently.
+    """
+    gf = out[:len(gs), :len(f)]
+    np.take(gs, f, axis=1, out=gf)
+    return np.matmul(op, gf[:, :, None])[:, :, 0]
 
 
 def _check_length(x: np.ndarray, lap: np.ndarray) -> None:
@@ -182,10 +196,11 @@ class Trajectory:
 
         Each float is printed as its ``repr``, the shortest string that reads back to it. Rows
         go to the file in chunks of at most ``_BLOCK_ELEMENTS`` floats, so writing holds no more
-        than a chunk in memory. A row whose values are each ±0.0 or of magnitude in
-        [1e-4, 1e16) is written by orjson: its Ryū digits are ``repr``'s, and in that range both
-        print them in plain decimal. Any other row is written through ``repr``, which prints
-        1e-05, 1e+16 and inf where orjson prints 0.00001, 1e16 and null.
+        than a chunk and its text in memory. A chunk is one ``orjson.dumps``, split into rows at
+        ``],[``: orjson's Ryū digits are ``repr``'s, and for ±0.0 and magnitudes in [1e-4, 1e16)
+        both print them in plain decimal. The rows with a value outside that range, where orjson
+        prints 0.00001, 1e16 and null for ``repr``'s 1e-05, 1e+16 and inf, are printed again by
+        one more ``orjson.dumps``, with each such value replaced by its ``repr`` string.
         """
         import orjson  # imported here: only a run that writes its trajectory needs it
 
@@ -195,11 +210,17 @@ class Trajectory:
             for k in range(0, len(self.t), rows):
                 chunk = np.column_stack((self.t[k:k + rows], self.x[k:k + rows], self.spread[k:k + rows]))
                 size = np.abs(chunk)
-                plain = (((size >= 1e-4) & (size < 1e16)) | (chunk == 0)).all(axis=1)
+                outside = ~(((size >= 1e-4) & (size < 1e16)) | (chunk == 0))
+                lines = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+                redo = np.flatnonzero(outside.any(axis=1))
                 # tolist() gives Python floats, whose repr is the shortest round-trip form
-                f.writelines(orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] + b"\n" if ok
-                             else (",".join(map(repr, row.tolist())) + "\n").encode()
-                             for row, ok in zip(chunk, plain.tolist()))
+                fixed = chunk[redo].tolist()
+                for i, j in zip(*np.nonzero(outside[redo])):
+                    fixed[i][j] = repr(fixed[i][j])
+                text = orjson.dumps(fixed)[2:-2].replace(b'"', b"")  # the repr strings unquoted
+                for i, line in zip(redo.tolist(), text.split(b"],[")):
+                    lines[i] = line
+                f.write(b"\n".join(lines) + b"\n")
 
 
 class _Recorder:
@@ -414,6 +435,8 @@ class _Stepper:
             # rows [x, 1] for the map's constant column; a short first block keeps ``step`` cheap
             size = length if self._block is None else self._max_len
             self._block, self._gammas = np.ones((size + 1, n + 1)), np.empty((size, n))
+            # the gamma_f rows of ``_stacked_selections``: an even width starts each on 16 bytes
+            self._gf = np.empty((size, n + (n & 1)))
             # v's trailing 0 keeps each row's 1 when v is subtracted from the whole row
             self._rows, self._v = list(self._block), np.zeros(n + 1)
         rows, v, vn = self._rows, self._v, self._v[:n]
@@ -473,8 +496,7 @@ class _Stepper:
             np.multiply(cell.s, states[1:e], gs)
             np.add(gs, cell.c, gs)
             if bs is not None and e > 1:  # a later step is not kept when its selection is clipped
-                for gj in gs:  # row by row: gs[:, f] @ K.T does not round as op @ gamma_f does
-                    gj[bs.b] = bs.mid if bs.op is None else bs.op @ gj[bs.f]
+                gs[:, bs.b] = bs.mid if bs.op is None else _stacked_selections(bs.op, gs, bs.f, self._gf)
                 gb = gs[:, bs.b]
                 e = _first_row(~((gb > bs.lo) & (gb < bs.hi)), e - 1) + 1
         reached = False  # of the last state, whose band-edge index is k1: a flight's kept states keep it

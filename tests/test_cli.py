@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -424,7 +425,7 @@ def test_run_phase_config_errors_write_nothing(bundle, tmp_path, capsys, monkeyp
         cfg.update(function={"preset": "unit-jump"}, x0={"values": [0.0, "nan", 2.0, 3.0]}, options={})
     p = _write_config(tmp_path / "c.json", **cfg)
     pools = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda *args, **kwargs: pools.append(args))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *args, **kwargs: pools.append(args))
     out = tmp_path / "o"
     assert main(["fixed", "--config", str(p), "--out", str(out), *runs]) == 2
     expected = "jump bands overlap" if case == "overlapping-bands" else "x0.values must be finite"
@@ -521,12 +522,12 @@ def test_runs_batch(bundle, tmp_path):
 def test_runs_batch_starts_a_worker_per_run(bundle, tmp_path, monkeypatch):
     workers = []
 
-    class Pool(cli.ProcessPoolExecutor):
+    class Pool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             workers.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert main(["fixed", "--config", str(bundle / "double-star.json"),
                  "--out", str(tmp_path / "batch"), "--t-max", "0.1", "--runs", "2"]) == 0

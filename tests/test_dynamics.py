@@ -300,6 +300,23 @@ def test_trajectory_csv_matches_per_element_repr(tmp_path, two_node, uj):
     for rows in (edge_rows, in_range, any_bits[:100_002].reshape(-1, 3), mixed):
         trajs.append(dynamics.Trajectory(t=rows[:, 0].copy(), x=rows[:, 1:2].copy(), gamma=rows[:, 1:2].copy(),
                                          sliding=np.zeros((len(rows), 1), dtype=bool), spread=rows[:, 2].copy()))
+    # the bundled widths, double-star's n = 12 and blinking-50's n = 50, in chunks of
+    # _BLOCK_ELEMENTS // (n + 2) rows, and a width whose every chunk is one row
+    for n in (12, 50, dynamics._BLOCK_ELEMENTS - 1):
+        per = max(1, dynamics._BLOCK_ELEMENTS // (n + 2))
+        size = 4 * per + 7 if per > 1 else 6
+        x = _in_range_doubles(rng, size * n).reshape(size, n)
+        spread = np.abs(_in_range_doubles(rng, size))
+        tiny = 10.0 ** -rng.uniform(5, 9, size)  # below 1e-4, as double-star's V at its end
+        middle = [1e-5, np.inf, -np.inf, np.nan]  # one x in the middle of a row
+        x[[1, 2, 3, 4], n // 2] = middle
+        if per > 1:
+            chosen = np.r_[per - 4:per + 4, 2 * per:3 * per, size - 3:size]  # across a chunk end, a whole chunk
+            spread[chosen] = tiny[chosen]
+            x[[per + 1, 2 * per + 1], [0, n - 1]] = middle[:2]  # both kinds in one row
+        else:
+            spread[[0, 1]] = tiny[[0, 1]]
+        trajs.append(dynamics.Trajectory(t=np.arange(size) * 1e-3, x=x, gamma=x, sliding=x > 0, spread=spread))
     for traj in trajs:
         traj.to_csv(tmp_path / "traj.csv")
         lines = [f"t,{','.join(f'x_{i}' for i in range(traj.n))},V"]
@@ -882,6 +899,33 @@ def test_selection_cache_decides_rank_per_banded_set(uj):
         assert got[2] == want[2] == (x is both)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
+
+
+def test_stacked_selections_match_selection_bit_for_bit():
+    # A sliding flight's later selections are one stacked product over gamma_f rows gathered
+    # into the stepper's buffer; each row must round as ``selection``'s op @ gamma[f] on a
+    # fresh gather does, at n = 50 for |b| = 1..12 (so |f| odd and even) and 1 to _max_len
+    # rows. Every gathered row is, like a fresh gather, unit-stride and on a 16-byte boundary.
+    n, rng = 50, np.random.default_rng(12)
+    stepper = dynamics._Stepper(np.zeros((n, n)), unit_jump(), SimOptions())
+    stepper._block_len = stepper._max_len  # the first block allocates the buffers at the longest length
+    x = rng.uniform(1.0, 2.0, n)
+    stepper.block(x, stepper.edges.searchsorted(x, side="right"), 0.0, 1e-3, 1.0, 0.0, None)
+    out = stepper._gf
+    assert len(out) == stepper._max_len and out.strides[1] == out.itemsize
+    assert ((out.ctypes.data + out.strides[0] * np.arange(len(out))) % 16 == 0).all()
+    w = rng.random((n, n))
+    np.fill_diagonal(w, 0.0)
+    lap = np.diag(w.sum(axis=1)) - w
+    for size in range(1, 13):
+        for rows in rng.integers(1, len(out) + 1, 12).tolist() + [1, len(out)]:
+            b = np.sort(rng.choice(n, size, replace=False))
+            f = np.setdiff1d(np.arange(n), b)
+            op = -np.linalg.solve(lap[np.ix_(b, b)], lap[np.ix_(b, f)])
+            gs = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-3, 4, (rows, n))
+            got = dynamics._stacked_selections(op, gs, f, out)
+            want = np.array([op @ gamma[f] for gamma in gs])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _follower_lap():
